@@ -7,7 +7,7 @@ with ``chain_graphs=False`` (one fresh two-version graph per adjacent
 checkpoint pair) and once with ``chain_graphs=True`` (every checkpoint
 chain hash-consed into ONE graph, normalized once) — and the artifact
 records both modes' deterministic work counters (nodes built, nodes
-created, rule invocations, normalize runs), the record-signature parity
+created, construction ``make`` calls, rule invocations, normalize runs), the record-signature parity
 verdict, and the aggregate savings percentages.
 
 The experiment runs at **several corpus scales** (``--scales``, default
@@ -50,8 +50,8 @@ def _ensure_pinned_hash_seed() -> None:
         os.execve(sys.executable, [sys.executable, *sys.argv], environment)
 
 #: The counters the perf guard gates on (summed over all corpora).
-COUNTER_KEYS = ("nodes_built", "nodes_created", "rule_invocations",
-                "normalize_runs")
+COUNTER_KEYS = ("nodes_built", "nodes_created", "make_calls",
+                "rule_invocations", "normalize_runs")
 
 
 def _sweep_scale(scale: float):

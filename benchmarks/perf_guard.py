@@ -2,8 +2,10 @@
 """CI perf guard: gate deterministic work counters against a committed baseline.
 
 Validation work is deterministic for a fixed corpus, configuration and
-``PYTHONHASHSEED``: the number of graph nodes constructed, normalization
-rule invocations and equivalence (normalize) runs of a sweep never vary
+``PYTHONHASHSEED``: the number of graph nodes constructed, the
+``ValueGraph.make`` calls construction issued (which catch a blow-up in
+gate translation even when hash-consing keeps the node count flat),
+normalization rule invocations and equivalence (normalize) runs of a sweep never vary
 between runs — only wall-clock does.  That makes them gateable: this
 script compares the counters of a freshly produced
 ``benchmarks/artifacts/chain_graphs.json`` artifact (see
@@ -54,8 +56,8 @@ import sys
 #: (the default execution mode) — plus the per-pair totals, so a
 #: regression on the fallback/oracle path is caught too.
 GATED_MODES = ("chain", "per_pair")
-GATED_COUNTERS = ("nodes_built", "nodes_created", "rule_invocations",
-                  "normalize_runs")
+GATED_COUNTERS = ("nodes_built", "nodes_created", "make_calls",
+                  "rule_invocations", "normalize_runs")
 
 
 def _scale_key(scale) -> str:

@@ -660,8 +660,8 @@ def chain_comparison(scale: float = 1.0, benchmarks: Optional[Sequence[str]] = N
       guard ``stepwise_guard.py --chain-parity`` enforces this on all
       twelve corpora);
     * the deterministic work counters of both sweeps — nodes built during
-      graph construction, total nodes created, rule invocations and
-      normalize runs — plus wall time;
+      graph construction, total nodes created, ``make`` calls during
+      construction, rule invocations and normalize runs — plus wall time;
     * the chain telemetry (chains built, versions hash-consed, the
       estimated per-pair construction baseline, fallbacks).
 
@@ -669,8 +669,8 @@ def chain_comparison(scale: float = 1.0, benchmarks: Optional[Sequence[str]] = N
     mode performs.
     """
     base = config or DEFAULT_CONFIG
-    counter_keys = ("nodes_built", "nodes_created", "rule_invocations",
-                    "normalize_runs")
+    counter_keys = ("nodes_built", "nodes_created", "make_calls",
+                    "rule_invocations", "normalize_runs")
     rows: List[Dict[str, object]] = []
     for spec in _selected_specs(benchmarks):
         per_mode: Dict[str, Dict[str, object]] = {}

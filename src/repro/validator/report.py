@@ -202,10 +202,11 @@ class ValidationReport:
         Aggregates the per-function :class:`NormalizationStats` the engine
         reported: rule invocations, worklist pushes, dispatch-index hits,
         rewrites, merges and iterations — the "is validator work
-        proportional to optimizer work" telemetry.  Cache-answered records
-        are excluded (their stats describe work done once elsewhere, not
-        work done for this record), so the totals reflect what actually
-        ran.
+        proportional to optimizer work" telemetry — plus the construction
+        counters (nodes built, ``make`` calls, gate translations).
+        Cache-answered records are excluded (their stats describe work
+        done once elsewhere, not work done for this record), so the totals
+        reflect what actually ran.
         """
         totals: Dict[str, int] = {}
         for record in self.records:
@@ -225,6 +226,11 @@ class ValidationReport:
                                          + record.chain_stats.get("chain_nodes_built", 0))
                 totals["nodes_created"] = (totals.get("nodes_created", 0)
                                            + record.chain_stats.get("chain_nodes_created", 0))
+                totals["make_calls"] = (totals.get("make_calls", 0)
+                                        + record.chain_stats.get("chain_make_calls", 0))
+                totals["gate_translations"] = (
+                    totals.get("gate_translations", 0)
+                    + record.chain_stats.get("chain_gate_translations", 0))
                 totals["normalize_runs"] = (totals.get("normalize_runs", 0)
                                             + record.chain_stats.get("chains", 0))
                 # Incremental revalidation telemetry: chain nodes the

@@ -87,9 +87,11 @@ class ValidationResult:
     #: of the engine counters, fresh per-pair validations record the
     #: deterministic work counters ``nodes_built`` (nodes created while
     #: constructing the graph), ``nodes_created`` (total nodes ever
-    #: created, including normalization-manufactured ones) and
-    #: ``normalize_runs`` — the counters the chain-graph benchmarks and
-    #: the CI perf guard compare.
+    #: created, including normalization-manufactured ones),
+    #: ``make_calls`` (``ValueGraph.make`` calls during construction,
+    #: hash-consing hits included), ``gate_translations`` (gate formulas
+    #: construction translated) and ``normalize_runs`` — the counters the
+    #: chain-graph benchmarks and the CI perf guard compare.
     stats: Dict[str, int] = field(default_factory=dict)
     #: Human-readable detail for failures (best-effort diff rendering).
     detail: str = ""
@@ -156,7 +158,8 @@ def validate(before: Function, after: Function,
             graph_nodes=graph.live_node_count(), detail=str(error),
         )
 
-    counters = _work_counters(stats, nodes_built, graph.next_id)
+    counters = _work_counters(stats, nodes_built, graph.next_id,
+                              [summary_before, summary_after])
     elapsed = time.perf_counter() - start
     if matched:
         reason = "trivially-equal" if stats.trivially_equal else "equal"
@@ -222,13 +225,24 @@ def validate_bounded(before: Function, after: Function,
 
 
 def _work_counters(stats: NormalizationStats, nodes_built: int,
-                   nodes_created: int) -> Dict[str, int]:
+                   nodes_created: int,
+                   summaries: Sequence[FunctionSummary]) -> Dict[str, int]:
     """Engine stats plus the deterministic work counters of one run."""
     counters = stats.as_dict()
     counters["nodes_built"] = nodes_built
     counters["nodes_created"] = nodes_created
+    counters.update(_construction_counters(summaries))
     counters["normalize_runs"] = 1
     return counters
+
+
+def _construction_counters(summaries: Sequence[FunctionSummary]) -> Dict[str, int]:
+    """``make`` calls and gate translations of the builds behind ``summaries``."""
+    return {
+        "make_calls": sum(summary.make_calls for summary in summaries),
+        "gate_translations": sum(summary.gate_translations
+                                 for summary in summaries),
+    }
 
 
 @dataclass
@@ -425,7 +439,7 @@ def validate_chain(versions: Sequence[Function],
                 rejects_trusted = False
                 break
     chain_stats = _chain_stats(len(versions), nodes_built, graph.next_id,
-                               baseline_nodes, stats)
+                               baseline_nodes, stats, summaries)
     return ChainOutcome(name, pair_results, chain_stats,
                         whole_result=whole_result,
                         rejects_trusted=rejects_trusted)
@@ -521,7 +535,7 @@ def validate_chain_delta(graph: ValueGraph,
 
     chain_stats = _chain_stats(len(summaries), nodes_built,
                                nodes_built + (work.next_id - created_watermark),
-                               baseline_nodes, stats)
+                               baseline_nodes, stats, summaries)
     chain_stats["chain_pairs"] = len(dirty_indices)
     chain_stats["chain_normalizations_saved"] = len(dirty_indices) - 1
     chain_stats["chain_nodes_reused"] = nodes_reused
@@ -552,13 +566,17 @@ def _pair_baseline_nodes(graph, summaries) -> int:
 
 
 def _chain_stats(versions: int, nodes_built: int, nodes_created: int,
-                 baseline_nodes: int, stats: NormalizationStats) -> Dict[str, int]:
+                 baseline_nodes: int, stats: NormalizationStats,
+                 summaries: Sequence[FunctionSummary]) -> Dict[str, int]:
+    construction = _construction_counters(summaries)
     return {
         "chains": 1,
         "chain_versions": versions,
         "chain_pairs": versions - 1,
         "chain_nodes_built": nodes_built,
         "chain_nodes_created": nodes_created,
+        "chain_make_calls": construction["make_calls"],
+        "chain_gate_translations": construction["gate_translations"],
         "chain_pair_baseline_nodes": baseline_nodes,
         "chain_rounds": stats.iterations,
         "chain_rule_invocations": stats.rule_invocations,
@@ -581,6 +599,8 @@ def _chain_fallback(versions: Sequence[Function], config: ValidatorConfig,
         "chain_pairs": len(versions) - 1,
         "chain_nodes_built": 0,
         "chain_nodes_created": 0,
+        "chain_make_calls": 0,
+        "chain_gate_translations": 0,
         "chain_pair_baseline_nodes": 0,
         "chain_rounds": 0,
         "chain_rule_invocations": 0,

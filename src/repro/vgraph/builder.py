@@ -72,12 +72,18 @@ from .graph import ValueGraph
 class FunctionSummary:
     """The observable roots of one function in the shared graph."""
 
-    def __init__(self, function: Function, result: Optional[int], memory: int):
+    def __init__(self, function: Function, result: Optional[int], memory: int,
+                 make_calls: int = 0, gate_translations: int = 0):
         self.function = function
         #: Node id of the (gated) return value, or ``None`` for void functions.
         self.result = result
         #: Node id of the final memory state.
         self.memory = memory
+        #: ``ValueGraph.make`` calls the build of this summary issued (0
+        #: for a summary reused without building).
+        self.make_calls = make_calls
+        #: Gate formulas the build translated (memo misses).
+        self.gate_translations = gate_translations
 
     def roots(self) -> List[int]:
         """The root node ids (result first when present, then memory)."""
@@ -119,11 +125,27 @@ class GraphBuilder:
         self._loop_exit_cond: Dict[int, int] = {}
         self._alloca_names: Dict[int, str] = {}
         self._building_mem: set = set()
+        # Keyed on the gate *object* and the context block, never on their
+        # ids: ``GateAnalysis`` builds temporary gate objects whose ids are
+        # recycled once they are collected, and an ``id()``-keyed memo
+        # returned stale nodes for them (it flipped gcc, hmmer and
+        # perlbench verdicts).  Both classes hash by identity, so the dict
+        # holds strong references and no key can be reused.
+        self._gate_nodes: Dict[Tuple[GateExpr, BasicBlock], int] = {}
+        #: Gate formulas translated so far (memo misses).
+        self.gate_translations = 0
         self._name_allocas()
 
     # -- public entry point -------------------------------------------------
     def build(self) -> FunctionSummary:
         """Symbolically evaluate the function; return its summary."""
+        make_calls = self.graph.make_calls
+        result, memory = self._build_roots()
+        return FunctionSummary(self.function, result, memory,
+                               make_calls=self.graph.make_calls - make_calls,
+                               gate_translations=self.gate_translations)
+
+    def _build_roots(self) -> Tuple[Optional[int], int]:
         self._precompute_memory()
         ret_blocks = [
             block
@@ -133,7 +155,7 @@ class GraphBuilder:
         if not ret_blocks:
             # A function that never returns: its observable state is just the
             # initial memory (nothing the caller can see changes).
-            return FunctionSummary(self.function, None, self.graph.make("mem0"))
+            return None, self.graph.make("mem0")
 
         entry = self.function.entry
         result_branches: List[Tuple[int, int]] = []
@@ -156,7 +178,7 @@ class GraphBuilder:
         result_root: Optional[int] = None
         if result_branches:
             result_root = self._combine_branches(result_branches)
-        return FunctionSummary(self.function, result_root, memory_root)
+        return result_root, memory_root
 
     # -- naming ----------------------------------------------------------------
     def _name_allocas(self) -> None:
@@ -214,7 +236,22 @@ class GraphBuilder:
 
     # -- gate translation -----------------------------------------------------------
     def _gate_to_node(self, gate: GateExpr, context: BasicBlock) -> int:
-        """Translate a gate formula into a graph node."""
+        """Translate a gate formula into a graph node (memoized).
+
+        Path conditions are DAGs: sub-formulas are shared between the
+        disjuncts of a join.  The memo makes translation linear in the
+        DAG rather than in its tree unfolding.
+        """
+        key = (gate, context)
+        node = self._gate_nodes.get(key)
+        if node is None:
+            node = self._translate_gate(gate, context)
+            self._gate_nodes[key] = node
+        return node
+
+    def _translate_gate(self, gate: GateExpr, context: BasicBlock) -> int:
+        """Translate one gate formula, sub-formulas through the memo."""
+        self.gate_translations += 1
         if isinstance(gate, TrueGate):
             return self.graph.true()
         if isinstance(gate, FalseGate):

@@ -54,6 +54,9 @@ class ValueGraph:
         self._next_id = 0
         self._parents: Dict[int, Set[int]] = {}
         self._listeners: List[MergeListener] = []
+        #: Calls to :meth:`make`, hash-consing hits included: the
+        #: construction-work counter the perf guard gates.
+        self.make_calls = 0
 
     # -- identity --------------------------------------------------------
     def resolve(self, node_id: int) -> int:
@@ -135,6 +138,7 @@ class ValueGraph:
     # -- construction ------------------------------------------------------
     def make(self, kind: str, data=None, args: Sequence[int] = ()) -> int:
         """Create (or reuse) a node.  Returns its id."""
+        self.make_calls += 1
         resolved = tuple(self.resolve(a) for a in args)
         key = (kind, data, resolved)
         existing = self._table.get(key)

@@ -288,7 +288,8 @@ class TestSizeBoundedBackend:
         cache, keys = self._filled_cache(tmp_path)
         # Touch the first key last: it becomes the most recently hit.
         assert cache.get(keys[0], "f0") is not None
-        cache.max_bytes = 700
+        # Room for one serialized entry (about 710 bytes), not two.
+        cache.max_bytes = 800
         cache.save()
         assert cache.peek(keys[0]) is not None, "hot entry must survive"
         assert cache.evicted > 0
@@ -304,7 +305,7 @@ class TestSizeBoundedBackend:
         after = clone_function(before)
         fresh_key = reloaded.key(before, after, DEFAULT_CONFIG)
         reloaded.put(fresh_key, validate(before, after, DEFAULT_CONFIG))
-        reloaded.max_bytes = 700
+        reloaded.max_bytes = 800
         reloaded.save()
         assert reloaded.evicted > 0
         assert reloaded.peek(fresh_key) is not None
