@@ -16,11 +16,13 @@ The graph supports:
   :meth:`make_mu` and patched with :meth:`set_args` once the loop body has
   been translated;
 * **structural signatures** — an iterated (Weisfeiler–Lehman style) hash
-  that is stable across graphs and tolerant of cycles, used to order φ
-  branches canonically and to seed cycle matching;
-* **sharing maximization** — re-hash-consing to a fixpoint after rewrites
-  (:meth:`maximize_sharing`), used together with the μ-cycle unification
-  in :mod:`repro.vgraph.sharing`;
+  that is stable across graphs, processes and hash seeds and tolerant of
+  cycles, used to order φ branches canonically and to seed cycle matching;
+* **sharing maximization** — re-hash-consing to a fixpoint after rewrites,
+  either by a whole-graph scan (:meth:`maximize_sharing`) or restricted to
+  the nodes a set of merges invalidated
+  (:meth:`maximize_sharing_incremental`), used together with the μ-cycle
+  unification in :mod:`repro.vgraph.sharing`;
 * **reverse use-edges** — every node knows which nodes use it as an
   argument (:meth:`parents`), so a redirect can enumerate exactly the
   nodes whose hash-consing keys became stale;
@@ -32,6 +34,7 @@ The graph supports:
 
 from __future__ import annotations
 
+import zlib
 from collections import deque
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -51,6 +54,11 @@ class ValueGraph:
         self._nodes: Dict[int, VNode] = {}
         self._forward: Dict[int, int] = {}
         self._table: Dict[Tuple, int] = {}
+        #: Cons table for μ-nodes, keyed by :meth:`_mu_key`.  :meth:`make`
+        #: never sees μ-nodes, so it is filled by the sharing passes.
+        self._mu_table: Dict[Tuple, int] = {}
+        #: Memoized signature seed labels per ``(kind, data)``.
+        self._labels: Dict[Tuple, int] = {}
         self._next_id = 0
         self._parents: Dict[int, Set[int]] = {}
         self._listeners: List[MergeListener] = []
@@ -288,21 +296,30 @@ class ValueGraph:
         stale parents are queued in turn, so the pass runs to the same
         fixpoint a full :meth:`maximize_sharing` scan would reach on the
         affected region — in time proportional to the change, not the
-        graph.  μ-nodes are left to the cycle matchers, exactly as
-        :meth:`_rebuild_table` excludes them from the cons table.
+        graph.
+
+        μ-nodes are re-keyed too, by :meth:`_mu_key` against a second table,
+        so syntactically identical loops merge here as in the full scan.
+        :meth:`make` keeps the cons table exact for every other node, but
+        no constructor registers μ-nodes: a caller that wants the full
+        scan's μ merges on a freshly built graph seeds the μ-nodes it
+        cares about once (the normalizer seeds every reachable μ-node in
+        its first round).  Equivalent but non-identical cycles are still
+        left to :func:`repro.vgraph.sharing.merge_cycles`.
         """
         merges = 0
         queue = deque(seeds)
         while queue:
             node_id = self.resolve(queue.popleft())
             node = self._nodes[node_id]
-            if node.kind in CYCLIC_KINDS:
-                continue
             node.args = [self.resolve(a) for a in node.args]
-            key = node.key(tuple(node.args))
-            existing = self._table.get(key)
+            if node.kind in CYCLIC_KINDS:
+                table, key = self._mu_table, self._mu_key(node)
+            else:
+                table, key = self._table, node.key(tuple(node.args))
+            existing = table.get(key)
             if existing is None:
-                self._table[key] = node_id
+                table[key] = node_id
                 continue
             existing = self.resolve(existing)
             if existing == node_id:
@@ -325,12 +342,14 @@ class ValueGraph:
     def _rebuild_table(self) -> None:
         self.canonicalize_args()
         self._table = {}
+        self._mu_table = {}
         for node_id, node in self._nodes.items():
             if node_id in self._forward:
                 continue
             if node.kind in CYCLIC_KINDS:
-                continue
-            self._table.setdefault(node.key(tuple(node.args)), node_id)
+                self._mu_table.setdefault(self._mu_key(node), node_id)
+            else:
+                self._table.setdefault(node.key(tuple(node.args)), node_id)
 
     # -- copying ------------------------------------------------------------
     def clone(self, roots: Optional[Iterable[int]] = None) -> "ValueGraph":
@@ -340,14 +359,14 @@ class ValueGraph:
         — the incremental revalidator clones its *pristine* (constructed,
         never normalized) master chain graph down to the current
         checkpoint roots before normalizing, so retired versions' nodes
-        neither appear in the work graph nor skew the full
-        :meth:`maximize_sharing` scan of the first normalization round.
-        Restriction therefore requires a merge-free graph: redirects
-        forward arbitrary ids across subgraph boundaries, and slicing a
-        forwarded graph could orphan forward targets.
+        neither appear in the work graph nor seed the μ-nodes re-keyed by
+        the first normalization round's sharing pass.  Restriction
+        therefore requires a merge-free graph: redirects forward arbitrary
+        ids across subgraph boundaries, and slicing a forwarded graph
+        could orphan forward targets.
 
         Node ids are preserved (``_next_id`` carries over, so watermark
-        arithmetic against the source stays valid), the cons table keeps
+        arithmetic against the source stays valid), the cons tables keep
         exactly the entries whose node survived, parent edges are rebuilt
         from the kept argument lists, and listeners are *not* copied —
         they observe the graph they were registered on.
@@ -372,9 +391,12 @@ class ValueGraph:
         if kept is None:
             copy._forward = dict(self._forward)
             copy._table = dict(self._table)
+            copy._mu_table = dict(self._mu_table)
         else:
             copy._table = {key: node_id for key, node_id in self._table.items()
                            if node_id in kept}
+            copy._mu_table = {key: node_id for key, node_id in self._mu_table.items()
+                              if node_id in kept}
         copy._next_id = self._next_id
         return copy
 
@@ -425,30 +447,50 @@ class ValueGraph:
     def signatures(self, rounds: int = 4, roots: Optional[Iterable[int]] = None) -> Dict[int, int]:
         """Iterated structural hashes, stable under node-id renaming.
 
-        Every node starts with a hash of its ``(kind, data, arity)`` and is
-        refined ``rounds`` times by hashing in its arguments' signatures.
-        Cycles are handled naturally (the refinement just stops improving).
-        The result is used to order φ branches canonically and to pick
-        candidate pairs for μ-cycle unification.
+        Every node starts with a hash of its label (see :meth:`_label`) and
+        arity, and is refined ``rounds`` times by hashing in its arguments'
+        signatures.  Cycles are handled naturally (the refinement just
+        stops improving).  The result is used to order φ branches
+        canonically and to pick candidate pairs for μ-cycle unification.
+
+        Only integers are ever hashed, and CPython hashes ints and tuples
+        of ints the same way in every process, so the values (and the φ
+        orders and μ candidate orders built on them) do not depend on the
+        hash seed.  Arguments are resolved once per call: the graph does
+        not change while the rounds run.
         """
         if roots is None:
             node_ids = [n.id for n in self.live_nodes()]
         else:
             node_ids = list(self.reachable(roots))
+        rows: List[Tuple[int, int, List[int]]] = []
         signature: Dict[int, int] = {}
         for node_id in node_ids:
             node = self._nodes[node_id]
-            signature[node_id] = hash((node.kind, node.data, len(node.args)))
+            label = self._label(node)
+            rows.append((node_id, label, [self.resolve(a) for a in node.args]))
+            signature[node_id] = hash((label, len(node.args)))
         for _ in range(rounds):
-            updated: Dict[int, int] = {}
-            for node_id in node_ids:
-                node = self._nodes[node_id]
-                arg_signatures = tuple(
-                    signature.get(self.resolve(a), 0) for a in node.args
-                )
-                updated[node_id] = hash((node.kind, node.data, arg_signatures))
-            signature = updated
+            previous = signature.get
+            signature = {node_id: hash((label, tuple([previous(a, 0) for a in args])))
+                         for node_id, label, args in rows}
         return signature
+
+    def _label(self, node: VNode) -> int:
+        """A process-independent integer for the node's ``(kind, data)``.
+
+        ``hash(None)`` is address-based on CPython before 3.12 and string
+        hashes follow ``PYTHONHASHSEED``, so hashing ``kind``/``data``
+        directly made φ and μ candidate orders (and the work counters
+        behind them) vary between runs.  ``data`` is always plain
+        str/int/bool/tuple data, whose ``repr`` is stable.
+        """
+        key = (node.kind, node.data)
+        label = self._labels.get(key)
+        if label is None:
+            label = zlib.crc32(repr(key).encode())
+            self._labels[key] = label
+        return label
 
     # -- debugging -----------------------------------------------------------------
     def format_node(self, node_id: int, max_depth: int = 6) -> str:

@@ -20,14 +20,20 @@ Two engines implement the fixpoint loop:
     walks) still see every affected ancestor.  Rules are dispatched
     through the kind index of :func:`repro.vgraph.rules.build_rule_index`
     rather than tried one by one, and sharing maximization, μ-cycle
-    matching and φ-branch sorting all consume the same dirty set.  This
-    realizes the paper's proportionality claim structurally: a validation
-    that needed few rewrites touches few nodes after the first round.
+    matching and φ-branch sorting all consume the same dirty set.  No
+    step rescans the whole graph: sharing is re-established by
+    :meth:`~repro.vgraph.graph.ValueGraph.maximize_sharing_incremental`
+    in every round, seeded by the dirty set (plus, in round one, the
+    reachable μ-nodes, which no constructor registers), and μ-cycle
+    matching follows its own merges the same way.  This realizes the
+    paper's proportionality claim structurally: a validation that needed
+    few rewrites touches few nodes after the first round.
 
 ``fullscan``
     The original engine: every round re-scans every reachable node
-    against every enabled rule.  Kept both as a baseline for the
-    engine-parity tests/benchmarks and as a fallback.
+    against every enabled rule and re-hash-conses the whole graph.  Kept
+    both as a baseline for the engine-parity tests/benchmarks and as a
+    fallback.
 
 Both engines produce the same verdicts; the worklist engine just invokes
 far fewer rules to get there (see ``repro.bench.experiments.engine_comparison``).
@@ -36,6 +42,8 @@ far fewer rules to get there (see ``repro.bench.experiments.engine_comparison``)
 from __future__ import annotations
 
 from collections import deque
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .graph import MergeListener, ValueGraph
@@ -184,8 +192,11 @@ class Normalizer:
         and every later round from the dirty set the graph's merge
         notifications collected, closed over reverse use-edges; sharing
         maximization, μ-cycle matching and φ-branch sorting consume the
-        same dirty set.  The ``fullscan`` engine re-scans everything every
-        round.
+        same dirty set.  Its round-one sharing pass is seeded by that dirty
+        set and the reachable μ-nodes: construction never redirects and
+        :meth:`~repro.vgraph.graph.ValueGraph.make` hash-conses every other
+        node, so nothing else can have a duplicate yet.  The ``fullscan``
+        engine re-scans everything every round.
         """
         incremental = self.engine == "worklist"
         dirty: Set[int] = set()
@@ -201,8 +212,14 @@ class Normalizer:
             for _ in range(self.max_iterations):
                 stats.iterations += 1
                 candidates: Optional[Set[int]] = None
+                sharing_seeds: List[int] = []
                 if incremental:
-                    seeds = set(self.graph.reachable(roots)) if scope is None else scope
+                    if scope is None:
+                        seeds = self.graph.reachable(roots)
+                        sharing_seeds = sorted(node_id for node_id in seeds
+                                               if self.graph.node(node_id).kind == "mu")
+                    else:
+                        seeds = scope
                     rewrites, touched = self._apply_rules_worklist(seeds, stats)
                     if scope is not None:
                         candidates = touched | dirty
@@ -212,8 +229,9 @@ class Normalizer:
                 if goal_pairs is not None and "loadstore" in self.rule_groups:
                     rewrites += self._prune_unobservable_stores(roots)
                 stats.rewrites += rewrites
-                if candidates is not None:
-                    merges = self.graph.maximize_sharing_incremental(set(dirty))
+                if incremental:
+                    sharing_seeds.extend(dirty)
+                    merges = self.graph.maximize_sharing_incremental(sharing_seeds)
                 else:
                     merges = self.graph.maximize_sharing()
                 stats.sharing_merges += merges
@@ -389,22 +407,43 @@ class Normalizer:
             if node.kind != "phi" or len(node.args) <= 2:
                 continue
             branches = node.phi_branches()
-            def sort_key(branch: Tuple[int, int]) -> Tuple:
-                condition, value = branch
-                condition = self.graph.resolve(condition)
-                value = self.graph.resolve(value)
-                return (
-                    signatures.get(condition, 0),
-                    signatures.get(value, 0),
-                    self.graph.format_node(condition, max_depth=3),
-                    self.graph.format_node(value, max_depth=3),
-                )
-            ordered = sorted(branches, key=sort_key)
+            ordered = order_phi_branches(self.graph, branches, signatures)
             if ordered != branches:
                 replacement = self.graph.phi(ordered)
                 if self.graph.redirect(node_id, replacement):
                     changed += 1
         return changed
+
+
+def order_phi_branches(graph: ValueGraph, branches: List[Tuple[int, int]],
+                       signatures: Dict[int, int]) -> List[Tuple[int, int]]:
+    """The canonical order of φ ``(condition, value)`` branches.
+
+    Branches sort by the structural signatures of their condition and
+    value, ties broken by the bounded-depth renderings of both.  Rendering
+    is the expensive part, so it runs only inside runs of branches whose
+    signatures tie: a stable sort on the signatures followed by a stable
+    sort of each tied run yields exactly the order of one stable sort on
+    the full ``(sig(cond), sig(value), text(cond), text(value))`` key.
+    """
+    def coarse(branch: Tuple[int, int]) -> Tuple[int, int]:
+        condition, value = branch
+        return (signatures.get(graph.resolve(condition), 0),
+                signatures.get(graph.resolve(value), 0))
+
+    def rendered(branch: Tuple[int, int]) -> Tuple[str, str]:
+        condition, value = branch
+        return (graph.format_node(condition, max_depth=3),
+                graph.format_node(value, max_depth=3))
+
+    decorated = sorted(((coarse(branch), branch) for branch in branches), key=itemgetter(0))
+    ordered: List[Tuple[int, int]] = []
+    for _, tied in groupby(decorated, key=itemgetter(0)):
+        run = [branch for _, branch in tied]
+        if len(run) > 1:
+            run.sort(key=rendered)
+        ordered.extend(run)
+    return ordered
 
 
 def unobservable_stores(graph: ValueGraph, roots: Sequence[int]) -> List[int]:
@@ -467,4 +506,5 @@ def unobservable_stores(graph: ValueGraph, roots: Sequence[int]) -> List[int]:
     return dead
 
 
-__all__ = ["Normalizer", "NormalizationStats", "ENGINES", "unobservable_stores"]
+__all__ = ["Normalizer", "NormalizationStats", "ENGINES", "order_phi_branches",
+           "unobservable_stores"]

@@ -1,11 +1,12 @@
 """Sharing maximization across cycles: μ-node unification.
 
-Plain hash-consing (``ValueGraph.maximize_sharing``) merges equal acyclic
-terms, but two structurally equivalent loops are distinct cycles in the
-graph and will never hash to the same node.  The paper's solution (§5.4)
-is a simple unification procedure: pick pairs of μ-nodes, walk their
-sub-graphs in parallel, optimistically assuming the pair equal, and if the
-walk finds no structural disagreement merge every pair of nodes visited.
+Plain hash-consing (``ValueGraph.maximize_sharing`` and its incremental
+form) merges syntactically equal terms, but two structurally equivalent
+loops are distinct cycles in the graph and will never hash to the same
+node.  The paper's solution (§5.4) is a simple unification procedure:
+pick pairs of μ-nodes, walk their sub-graphs in parallel, optimistically
+assuming the pair equal, and if the walk finds no structural disagreement
+merge every pair of nodes visited.
 This is a coinductive (bisimulation-style) equality check, which is the
 right notion of equality for the recursive stream equations μ-nodes
 denote.
@@ -87,6 +88,11 @@ def merge_cycles(graph: ValueGraph, roots: Optional[List[int]] = None,
     changed.  As soon as a round merges anything the restriction is
     lifted, because merges reshape the graph around every μ.
 
+    After a merging round, sharing is re-established by
+    :meth:`ValueGraph.maximize_sharing_incremental` seeded with the stale
+    parents of that round's redirects — the only nodes whose hash-consing
+    keys the redirects invalidated — rather than by a whole-graph scan.
+
     Two hot spots the profile exposed are avoided: the μ population is
     collected from one reachability walk and carried across rounds
     (merging can only *shrink* it, so later rounds just re-resolve the
@@ -135,6 +141,7 @@ def merge_cycles(graph: ValueGraph, roots: Optional[List[int]] = None,
 
         attempts = 0
         round_merged = 0
+        stale: Set[int] = set()
         for group in by_signature.values():
             for i in range(len(group)):
                 for j in range(i + 1, len(group)):
@@ -150,13 +157,15 @@ def merge_cycles(graph: ValueGraph, roots: Optional[List[int]] = None,
                     if mapping is None:
                         continue
                     for source, target in mapping.items():
+                        parents = graph.parents(source)
                         if graph.redirect(source, target):
                             round_merged += 1
+                            stale.update(parents)
         if round_merged == 0:
             return merged
         merged += round_merged
         candidates = None
-        graph.maximize_sharing()
+        graph.maximize_sharing_incremental(stale)
     return merged
 
 
