@@ -8,7 +8,7 @@ in the benchmark corpora.  Dominance frontiers are needed by mem2reg's
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..ir.module import BasicBlock, Function
 from .cfg import predecessor_map, reverse_postorder
@@ -19,6 +19,10 @@ class DominatorTree:
 
     Use :meth:`compute` to build one.  Unreachable blocks do not appear in
     the tree at all; :meth:`dominates` returns ``False`` for them.
+
+    :meth:`dominates` is answered in O(1) from DFS enter/exit numbers over
+    the tree.  The numbering is built on the first query, so clients that
+    only need frontiers or the preorder (mem2reg) never pay for it.
     """
 
     def __init__(self, function: Function, idom: Dict[int, Optional[BasicBlock]],
@@ -32,6 +36,7 @@ class DominatorTree:
             parent = idom.get(id(block))
             if parent is not None and parent is not block:
                 self._children[id(parent)].append(block)
+        self._intervals: Optional[Dict[int, Tuple[int, int]]] = None
 
     # -- construction ------------------------------------------------------
     @classmethod
@@ -63,17 +68,14 @@ class DominatorTree:
 
     def dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
         """Does ``a`` dominate ``b``?  (Every block dominates itself.)"""
-        if id(a) not in self._index or id(b) not in self._index:
+        intervals = self._intervals
+        if intervals is None:
+            intervals = self._intervals = _tree_intervals(self._order[:1], self._children)
+        outer = intervals.get(id(a))
+        inner = intervals.get(id(b))
+        if outer is None or inner is None:
             return False
-        node: Optional[BasicBlock] = b
-        while node is not None:
-            if node is a:
-                return True
-            parent = self._idom.get(id(node))
-            if parent is node:
-                return False
-            node = parent
-        return False
+        return outer[0] <= inner[0] and inner[1] <= outer[1]
 
     def strictly_dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
         """Does ``a`` dominate ``b`` and ``a is not b``?"""
@@ -116,11 +118,14 @@ class PostDominatorTree:
 
     Functions may have several exit blocks (multiple ``ret`` / ``unreachable``),
     so the computation uses a virtual exit node that every real exit leads to.
+    Each exit roots its own tree; :meth:`postdominates` answers from DFS
+    enter/exit numbers over that forest, built on the first query.
     """
 
     def __init__(self, ipostdom: Dict[int, Optional[BasicBlock]], order: List[BasicBlock]):
         self._ipdom = ipostdom
-        self._index = {id(b): i for i, b in enumerate(order)}
+        self._order = order
+        self._intervals: Optional[Dict[int, Tuple[int, int]]] = None
 
     @classmethod
     def compute(cls, function: Function) -> "PostDominatorTree":
@@ -128,8 +133,11 @@ class PostDominatorTree:
         blocks = reverse_postorder(function)
         exits = [b for b in blocks if not b.successors()]
         preds = predecessor_map(function)
-        # Successors in the reversed graph are the original predecessors.
-        reversed_succ: Dict[int, List[BasicBlock]] = {id(b): list(preds[b]) for b in blocks}
+        # Successors in the reversed graph are the original predecessors
+        # (those reachable from entry: an unreachable block is not analysed).
+        reachable = {id(b) for b in blocks}
+        reversed_succ: Dict[int, List[BasicBlock]] = {
+            id(b): [p for p in preds[b] if id(p) in reachable] for b in blocks}
         reversed_pred: Dict[int, List[BasicBlock]] = {id(b): list(b.successors()) for b in blocks}
 
         # Postorder of the reversed CFG starting from the virtual exit.
@@ -198,17 +206,49 @@ class PostDominatorTree:
 
     def postdominates(self, a: BasicBlock, b: BasicBlock) -> bool:
         """Does ``a`` post-dominate ``b``?"""
-        if id(a) not in self._index or id(b) not in self._index:
+        intervals = self._intervals
+        if intervals is None:
+            intervals = self._intervals = self._number()
+        outer = intervals.get(id(a))
+        inner = intervals.get(id(b))
+        if outer is None or inner is None:
             return False
-        node: Optional[BasicBlock] = b
-        while node is not None:
-            if node is a:
-                return True
-            parent = self._ipdom.get(id(node))
-            if parent is node:
-                return False
-            node = parent
-        return False
+        return outer[0] <= inner[0] and inner[1] <= outer[1]
+
+    def _number(self) -> Dict[int, Tuple[int, int]]:
+        children: Dict[int, List[BasicBlock]] = {id(b): [] for b in self._order}
+        roots: List[BasicBlock] = []
+        for block in self._order:
+            parent = self._ipdom.get(id(block))
+            if parent is None or parent is block:
+                roots.append(block)
+            else:
+                children[id(parent)].append(block)
+        return _tree_intervals(roots, children)
+
+
+def _tree_intervals(roots: Iterable[BasicBlock], children: Dict[int, List[BasicBlock]]
+                    ) -> Dict[int, Tuple[int, int]]:
+    """DFS ``(enter, exit)`` numbers of every block of a tree or forest.
+
+    ``a`` is an ancestor of ``b`` (or ``b`` itself) exactly when ``a``'s
+    interval contains ``b``'s.
+    """
+    intervals: Dict[int, Tuple[int, int]] = {}
+    clock = 0
+    for root in roots:
+        stack = [(root, iter(children[id(root)]), clock)]
+        clock += 1
+        while stack:
+            block, pending, enter = stack[-1]
+            child = next(pending, None)
+            if child is None:
+                stack.pop()
+                intervals[id(block)] = (enter, clock)
+            else:
+                stack.append((child, iter(children[id(child)]), clock))
+                clock += 1
+    return intervals
 
 
 def _compute_idoms(order: List[BasicBlock], preds: Dict[BasicBlock, List[BasicBlock]]

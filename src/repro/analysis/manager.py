@@ -15,6 +15,13 @@ identity makes lookups for the common same-object case unambiguous, and
 the fingerprint both invalidates the entry if a pass mutated the function
 in place since it was cached and keeps a stale entry from being served to
 a recycled ``id()``.
+
+The fingerprint of a changed-pass checkpoint is read from
+:data:`CHECKPOINT_FINGERPRINTS`, where the validation drivers remember it
+when they key the checkpoint's pairs, so each checkpoint is printed and
+hashed once.  Any other function — the caller's original above all, which
+the caller may mutate between queries, and a kept checkpoint once a
+driver has handed it back — is hashed fresh on every lookup.
 """
 
 from __future__ import annotations
@@ -54,7 +61,9 @@ class FingerprintTable:
     caller may mutate between runs.  Callers holding a maybe-mutable
     function use :meth:`fingerprint` (memo lookup, compute on miss,
     **no** store); callers holding an immutable version use
-    :meth:`remember`.
+    :meth:`remember`.  A remembered checkpoint that a driver returns as
+    the kept body becomes the caller's to mutate, so the driver drops it
+    with :meth:`forget` on the way out.
     """
 
     __slots__ = ("_table",)
@@ -82,6 +91,10 @@ class FingerprintTable:
         """``function``'s fingerprint via the memo, computed (not stored) on miss."""
         cached = self._table.get(function)
         return cached if cached is not None else function_fingerprint(function)
+
+    def forget(self, function: Function) -> None:
+        """Drop ``function``'s entry: it is handed to a caller who may mutate it."""
+        self._table.pop(function, None)
 
 
 #: The process-wide checkpoint fingerprint table (see :class:`FingerprintTable`).
@@ -185,7 +198,7 @@ class AnalysisManager:
 
     def analyses_for(self, function: Function) -> FunctionAnalyses:
         """The (memoized) analysis bundle for ``function``."""
-        fingerprint = function_fingerprint(function)
+        fingerprint = CHECKPOINT_FINGERPRINTS.fingerprint(function)
         key = (id(function), fingerprint)
         bundle = self._cache.get(key)
         if bundle is not None:

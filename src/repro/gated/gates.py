@@ -181,35 +181,39 @@ class GateAnalysis:
         Computed over forward edges only (back edges removed).  ``start``
         itself gets the condition *true*.
         """
-        memo: Dict[int, GateExpr] = {id(start): TRUE}
-        visiting: set = set()
+        return self._reach(start, block, {id(start): TRUE}, set())
 
-        def compute(current: BasicBlock) -> GateExpr:
-            key = id(current)
-            if key in memo:
-                return memo[key]
-            if key in visiting:
-                # A forward-edge cycle should not exist in a reducible CFG;
-                # fall back to an opaque condition rather than diverging.
-                return ReachedGate(current.name)
-            visiting.add(key)
-            disjuncts: List[GateExpr] = []
-            for pred in self._preds.get(key, []):
-                if self.is_back_edge(pred, current):
-                    continue
-                if not self.dom.dominates(start, pred):
-                    # Path escaping the region: opaque fallback.
-                    disjuncts.append(
-                        make_and([ReachedGate(pred.name), self.edge_condition(pred, current)])
-                    )
-                    continue
-                disjuncts.append(make_and([compute(pred), self.edge_condition(pred, current)]))
-            visiting.discard(key)
-            result = make_or(disjuncts)
-            memo[key] = result
-            return result
-
-        return compute(block)
+    def _reach(self, start: BasicBlock, current: BasicBlock,
+               memo: Dict[int, GateExpr], visiting: set) -> GateExpr:
+        # A method rather than a nested closure: a recursive closure refers
+        # to itself through its cell, so every query would leave a reference
+        # cycle pinning its memo (and the gates in it) until the cyclic GC
+        # ran.  The memo lives for one query only: sharing it across queries
+        # would change gate object identity and with it node creation order.
+        key = id(current)
+        if key in memo:
+            return memo[key]
+        if key in visiting:
+            # A forward-edge cycle should not exist in a reducible CFG;
+            # fall back to an opaque condition rather than diverging.
+            return ReachedGate(current.name)
+        visiting.add(key)
+        disjuncts: List[GateExpr] = []
+        for pred in self._preds.get(key, []):
+            if self.is_back_edge(pred, current):
+                continue
+            if not self.dom.dominates(start, pred):
+                # Path escaping the region: opaque fallback.
+                disjuncts.append(
+                    make_and([ReachedGate(pred.name), self.edge_condition(pred, current)])
+                )
+                continue
+            disjuncts.append(make_and([self._reach(start, pred, memo, visiting),
+                                       self.edge_condition(pred, current)]))
+        visiting.discard(key)
+        result = make_or(disjuncts)
+        memo[key] = result
+        return result
 
     # -- gating for φ-nodes --------------------------------------------------
     def phi_gates(self, block: BasicBlock) -> List[Tuple[BasicBlock, GateExpr]]:

@@ -95,8 +95,9 @@ class PassSnapshot:
         Changed-pass checkpoints are private clones, so their hash also
         enters the process-wide
         :data:`~repro.analysis.manager.CHECKPOINT_FINGERPRINTS` table —
-        the planner, chain provider and incremental differ all consult it
-        instead of re-hashing per consumer.  Unchanged snapshots alias
+        the planner, the per-function providers, the incremental differ
+        and the analysis manager all consult it instead of re-hashing per
+        consumer.  Unchanged snapshots alias
         the caller's original function object (which the caller may later
         mutate in place), so those stay out of the global memo and only
         use this snapshot-local cache.

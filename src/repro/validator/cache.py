@@ -52,7 +52,7 @@ try:  # POSIX only; on platforms without flock JSON saves stay unlocked.
 except ImportError:  # pragma: no cover - exercised only off-POSIX
     fcntl = None  # type: ignore[assignment]
 
-from ..analysis.manager import function_fingerprint
+from ..analysis.manager import CHECKPOINT_FINGERPRINTS
 from ..ir.module import Function
 from . import faults
 from .config import CACHE_BACKENDS, ValidatorConfig
@@ -893,9 +893,9 @@ class ValidationCache:
 
     def key(self, before: Function, after: Function,
             config: ValidatorConfig) -> CacheKey:
-        """The cache key for one validation query."""
-        return self.key_for(function_fingerprint(before),
-                            function_fingerprint(after), config)
+        """The cache key for one validation query (remembered checkpoints are not re-hashed)."""
+        return self.key_for(CHECKPOINT_FINGERPRINTS.fingerprint(before),
+                            CHECKPOINT_FINGERPRINTS.fingerprint(after), config)
 
     @staticmethod
     def key_for(fingerprint_before: str, fingerprint_after: str,

@@ -81,7 +81,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from ..analysis.manager import AnalysisManager, function_fingerprint
+from ..analysis.manager import AnalysisManager, CHECKPOINT_FINGERPRINTS, function_fingerprint
 from ..ir.cloning import clone_function, clone_globals_into
 from ..ir.module import Function, Module
 from ..transforms.pass_manager import (
@@ -94,11 +94,12 @@ from .config import DEFAULT_CONFIG, ValidatorConfig
 from .report import FunctionRecord, ValidationReport
 from .scheduler import (
     RequestBudget,
+    add_kept,
     build_plan,
+    chain_fingerprinter,
     chain_provider,
     create_executor,
     remap_function_refs,
-    remap_globals,
     resolved_executor,
     run_bisect,
     run_stepwise,
@@ -154,10 +155,12 @@ def validate_function_pipeline(
         record.transformed_by = PassManager(passes).run_on_function(optimized)
         if skip_unchanged and not record.transformed:
             return function, record
-        provider = serial_provider(config, cache, manager)
+        provider = serial_provider(config, cache, manager,
+                                   chain_fingerprinter([function, optimized], None))
         kept = run_whole(function, optimized, provider, record)
         if manager is not None:
             record.analysis_stats = manager.stats()
+        CHECKPOINT_FINGERPRINTS.forget(kept)  # the caller may mutate it now
         return kept, record
 
     snapshots = PassManager(passes).run_with_snapshots(function)
@@ -174,9 +177,10 @@ def validate_function_pipeline(
         # graph and all adjacent pairs are answered from its single
         # normalization (the per-pair provider remains the fallback for
         # the whole-query and for chain construction failures).
-        provider = chain_provider(versions, config, cache, manager, record)
+        provider = chain_provider(versions, steps, config, cache, manager, record)
     else:
-        provider = serial_provider(config, cache, manager)
+        provider = serial_provider(config, cache, manager,
+                                   chain_fingerprinter(versions, steps))
     if not steps:
         # skip_unchanged=False and no pass changed anything: validate the
         # identity pair, for parity with the whole strategy.
@@ -186,6 +190,7 @@ def validate_function_pipeline(
     runner = run_stepwise if strategy == "stepwise" else run_bisect
     kept = runner(function, versions, steps, provider, record)
     record.analysis_stats = manager.stats()
+    CHECKPOINT_FINGERPRINTS.forget(kept)  # the caller may mutate it now
     return kept, record
 
 
@@ -271,11 +276,7 @@ def llvm_md(
         kept, record = validate_function_pipeline(
             function, passes, config, cache=cache, strategy=strategy, manager=manager)
         report.add(record)
-        if kept is function:
-            result_module.add_function(clone_function(function, value_map=global_map))
-        else:
-            remap_globals(kept, global_map)
-            result_module.add_function(kept)
+        add_kept(result_module, function, kept, global_map)
     remap_function_refs(result_module)
     if cache is not None:
         cache.save_if_dirty()

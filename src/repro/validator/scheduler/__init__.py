@@ -47,14 +47,15 @@ from .plan import (
     WorkPlan,
     build_plan,
     chain_amortizes,
+    chain_fingerprinter,
     diff_plan,
     pending_whole_queries,
     resolved_executor,
 )
 from .settle import (
+    add_kept,
     merge_stats,
     remap_function_refs,
-    remap_globals,
     run_bisect,
     run_stepwise,
     run_whole,
@@ -88,12 +89,13 @@ __all__ = [
     "serial_provider",
     "chain_provider",
     "validate_pair_cached",
+    "chain_fingerprinter",
     "merge_stats",
     "run_whole",
     "run_stepwise",
     "run_bisect",
     "settle_chain_results",
     "settle_plan",
-    "remap_globals",
+    "add_kept",
     "remap_function_refs",
 ]

@@ -67,8 +67,9 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ...analysis.manager import AnalysisManager, CHECKPOINT_FINGERPRINTS
+from ...analysis.manager import AnalysisManager
 from ...ir.module import Function
+from ...transforms.pass_manager import PassSnapshot
 from .. import faults
 from ..cache import CacheKey, ValidationCache
 from ..config import ValidatorConfig
@@ -83,6 +84,7 @@ from .plan import (
     PairProvider,
     WorkPlan,
     chain_amortizes,
+    chain_fingerprinter,
     pending_whole_queries,
     resolved_executor,
 )
@@ -914,11 +916,16 @@ def validate_pair_cached(
     config: ValidatorConfig,
     cache: Optional[ValidationCache],
     manager: Optional[AnalysisManager],
+    fingerprint: Callable[[Function], str],
 ) -> Tuple[ValidationResult, bool]:
-    """Validate one pair through the optional cache; returns (result, hit)."""
+    """Validate one pair through the optional cache; returns (result, hit).
+
+    ``fingerprint`` (a :func:`~repro.validator.scheduler.plan.chain_fingerprinter`)
+    keys the pair.
+    """
     if cache is None:
         return validate_bounded(before, after, config, manager=manager), False
-    key = cache.key(before, after, config)
+    key = cache.key_for(fingerprint(before), fingerprint(after), config)
     cached = cache.get(key, before.name)
     if cached is not None:
         return cached, True
@@ -928,17 +935,18 @@ def validate_pair_cached(
 
 
 def serial_provider(config: ValidatorConfig, cache: Optional[ValidationCache],
-                    manager: Optional[AnalysisManager]) -> PairProvider:
+                    manager: Optional[AnalysisManager],
+                    fingerprint: Callable[[Function], str]) -> PairProvider:
     """The lazy provider: validate on demand through the optional cache."""
 
     def provider(before: Function, after: Function) -> Tuple[ValidationResult, bool]:
-        return validate_pair_cached(before, after, config, cache, manager)
+        return validate_pair_cached(before, after, config, cache, manager, fingerprint)
 
     return provider
 
 
-def chain_provider(versions: List[Function], config: ValidatorConfig,
-                   cache: Optional[ValidationCache],
+def chain_provider(versions: List[Function], steps: List[PassSnapshot],
+                   config: ValidatorConfig, cache: Optional[ValidationCache],
                    manager: Optional[AnalysisManager],
                    record: FunctionRecord) -> PairProvider:
     """Answer adjacent-pair queries from ONE chain-shared value graph.
@@ -960,27 +968,21 @@ def chain_provider(versions: List[Function], config: ValidatorConfig,
     never authoritative).  The whole-query fallback ``(original,
     final)`` is answered from the same graph on the same terms; anything
     else falls through to the per-pair path untouched.
+
+    Pair keys come from
+    :func:`~repro.validator.scheduler.plan.chain_fingerprinter`: the
+    original is hashed once here, and each checkpoint once into the shared
+    table, from which the graph build's analyses read it back.
     """
     state: Dict[str, ChainOutcome] = {}
     decision: Dict[str, bool] = {}
-    fingerprints: Dict[int, str] = {}
     positions = {(id(before), id(after)): index
                  for index, (before, after) in enumerate(zip(versions, versions[1:]))}
     whole_pair = (id(versions[0]), id(versions[-1]))
-    fallthrough = serial_provider(config, cache, manager)
-
-    def fingerprint(function: Function) -> str:
-        # Interior versions serve two pairs (and the worthwhile check
-        # peeks every pair), so memoize by identity — the versions list
-        # pins the objects alive.  The shared checkpoint table answers
-        # first: the planner/snapshot layer already hashed every changed
-        # checkpoint, so only the original version (absent from the
-        # global table — the caller may mutate it) is hashed here, once.
-        memoized = fingerprints.get(id(function))
-        if memoized is None:
-            memoized = CHECKPOINT_FINGERPRINTS.fingerprint(function)
-            fingerprints[id(function)] = memoized
-        return memoized
+    # Interior versions serve two pairs (and the worthwhile check peeks
+    # every pair), so each version is hashed once.
+    fingerprint = chain_fingerprinter(versions, steps)
+    fallthrough = serial_provider(config, cache, manager, fingerprint)
 
     def pair_key(before: Function, after: Function) -> CacheKey:
         return cache.key_for(fingerprint(before), fingerprint(after), config)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ...analysis.manager import CHECKPOINT_FINGERPRINTS
+from ...analysis.manager import CHECKPOINT_FINGERPRINTS, function_fingerprint
 from ...ir.cloning import clone_function, clone_globals_into
 from ...ir.module import Function, Module
 from ...ir.values import Value
@@ -46,6 +46,43 @@ PairProvider = Callable[[Function, Function], Tuple[ValidationResult, bool]]
 #: keys.  Content-identical chains are planned (and validated) once,
 #: exactly like content-identical pairs.
 ChainSignature = Tuple[CacheKey, ...]
+
+
+def chain_fingerprinter(versions: Sequence[Function],
+                        steps: Optional[Sequence[PassSnapshot]],
+                        ) -> Callable[[Function], str]:
+    """Fingerprint the versions of one chain on demand, each at most once.
+
+    ``versions[0]`` is the caller's function, which the caller may mutate
+    between runs: it is hashed fresh (once per chain) and never enters the
+    shared table.  Every later version is a private clone nothing mutates
+    during the run — a changed step's checkpoint, hashed through
+    :meth:`~repro.transforms.pass_manager.PassSnapshot.fingerprint`, or,
+    when ``steps`` is ``None`` (the whole strategy), the optimized clone
+    itself — and so is remembered in
+    :data:`~repro.analysis.manager.CHECKPOINT_FINGERPRINTS`, where the
+    analysis manager and the cache read it back instead of hashing again.
+    The planner, the incremental revalidator and the per-function
+    providers all key their pairs through this one function.
+    """
+    original = versions[0]
+    snapshots = ({id(step.function): step for step in steps}
+                 if steps is not None else {})
+    original_fingerprint: List[str] = []
+
+    def fingerprint(version: Function) -> str:
+        if version is original:
+            if not original_fingerprint:
+                original_fingerprint.append(function_fingerprint(original))
+            return original_fingerprint[0]
+        step = snapshots.get(id(version))
+        if step is not None:
+            return step.fingerprint()
+        if steps is None and version is versions[-1]:
+            return CHECKPOINT_FINGERPRINTS.remember(version)
+        return CHECKPOINT_FINGERPRINTS.fingerprint(version)
+
+    return fingerprint
 
 
 def resolved_executor(config: ValidatorConfig) -> str:
@@ -210,8 +247,6 @@ def build_plan(
                     continue
                 steps = None
                 versions = [function, optimized]
-                fingerprints = [CHECKPOINT_FINGERPRINTS.fingerprint(function),
-                                CHECKPOINT_FINGERPRINTS.remember(optimized)]
             else:
                 snapshots = PassManager(passes).run_with_snapshots(function)
                 record.transformed_by = {snap.pass_name: snap.changed
@@ -221,8 +256,8 @@ def build_plan(
                     result_module.add_function(clone_function(function, value_map=global_map))
                     continue
                 steps, versions = checkpoint_chain(function, snapshots)
-                fingerprints = [CHECKPOINT_FINGERPRINTS.fingerprint(function)]
-                fingerprints += [snap.fingerprint() for snap in steps]
+            fingerprint = chain_fingerprinter(versions, steps)
+            fingerprints = [fingerprint(version) for version in versions]
             whole_key = cache.key_for(fingerprints[0], fingerprints[-1], config)
             if strategy == "stepwise":
                 pair_keys = [cache.key_for(fingerprints[i], fingerprints[i + 1], config)
@@ -403,5 +438,6 @@ __all__ = [
     "diff_plan",
     "pending_whole_queries",
     "chain_amortizes",
+    "chain_fingerprinter",
     "resolved_executor",
 ]

@@ -219,11 +219,23 @@ def settle_chain_results(outcome: ChainOutcome, versions: Sequence[Function],
     return settled, whole
 
 
-def remap_globals(function: Function, global_map: Dict) -> None:
-    """Re-point a kept optimized body at the result module's global clones."""
+def add_kept(result_module: Module, function: Function, kept: Function,
+             global_map: Dict) -> None:
+    """Add ``function``'s kept body to ``result_module``.
+
+    A fully rejected function (``kept is function``) enters as a clone.  A
+    kept checkpoint enters itself, re-pointed at the result module's
+    global clones; from here on the caller owns it and may mutate it in
+    place, so its remembered fingerprint leaves the shared table.
+    """
+    if kept is function:
+        result_module.add_function(clone_function(function, value_map=global_map))
+        return
+    CHECKPOINT_FINGERPRINTS.forget(kept)
+    result_module.add_function(kept)
     if not global_map:
         return
-    for inst in function.instructions():
+    for inst in kept.instructions():
         for index, operand in enumerate(inst.operands):
             replacement = global_map.get(operand)
             if replacement is not None:
@@ -353,13 +365,8 @@ def settle_plan(plan: WorkPlan, cache: ValidationCache, execution,
                 kept = run_bisect(function_plan.function, function_plan.versions,
                                   function_plan.steps, provider,
                                   function_plan.record)
-            if kept is function_plan.function:
-                module_plan.result_module.add_function(
-                    clone_function(function_plan.function,
-                                   value_map=module_plan.global_map))
-            else:
-                remap_globals(kept, module_plan.global_map)
-                module_plan.result_module.add_function(kept)
+            add_kept(module_plan.result_module, function_plan.function, kept,
+                     module_plan.global_map)
         remap_function_refs(module_plan.result_module)
         results.append((module_plan.result_module, module_plan.report))
     return results, inline_validations
@@ -372,6 +379,6 @@ __all__ = [
     "run_bisect",
     "settle_chain_results",
     "settle_plan",
-    "remap_globals",
+    "add_kept",
     "remap_function_refs",
 ]

@@ -12,8 +12,9 @@ last run's checkpoint fingerprints, adjacent-pair cache keys and the
 :meth:`Revalidator.revalidate` call then costs only what changed:
 
 * **dirty-suffix planning** — the new checkpoint chain is fingerprinted
-  through the shared
-  :data:`~repro.analysis.manager.CHECKPOINT_FINGERPRINTS` table and
+  by :func:`~repro.validator.scheduler.plan.chain_fingerprinter` (each
+  changed checkpoint once, into the shared
+  :data:`~repro.analysis.manager.CHECKPOINT_FINGERPRINTS` table) and
   diffed against the previous run
   (:func:`~repro.validator.scheduler.plan.diff_plan`); pairs with both
   endpoints unchanged adopt the previous plan's cache keys verbatim and
@@ -47,7 +48,7 @@ import time
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
                     Tuple)
 
-from ..analysis.manager import AnalysisManager, CHECKPOINT_FINGERPRINTS
+from ..analysis.manager import AnalysisManager
 from ..errors import ReproError
 from ..ir.cloning import clone_function, clone_globals_into
 from ..ir.module import Function, Module
@@ -59,10 +60,11 @@ from .config import DEFAULT_CONFIG, ValidatorConfig
 from .report import FunctionRecord, ValidationReport
 from .scheduler import (
     RequestBudget,
+    add_kept,
     chain_amortizes,
+    chain_fingerprinter,
     create_executor,
     remap_function_refs,
-    remap_globals,
     resolved_executor,
     run_stepwise,
 )
@@ -188,13 +190,7 @@ class Revalidator:
             report.add(record)
             if on_record is not None:
                 on_record(record)
-            function = context["function"]
-            if kept is function:
-                result_module.add_function(
-                    clone_function(function, value_map=global_map))
-            else:
-                remap_globals(kept, global_map)
-                result_module.add_function(kept)
+            add_kept(result_module, context["function"], kept, global_map)
         remap_function_refs(result_module)
 
         cache.save_if_dirty()
@@ -228,8 +224,8 @@ class Revalidator:
         if not record.transformed:
             return context
         steps, versions = checkpoint_chain(function, snapshots)
-        fingerprints = [CHECKPOINT_FINGERPRINTS.fingerprint(function)]
-        fingerprints += [snap.fingerprint() for snap in steps]
+        fingerprint = chain_fingerprinter(versions, steps)
+        fingerprints = [fingerprint(version) for version in versions]
         previous = self._states.get((label, function.name))
         diff = diff_plan(previous.fingerprints if previous is not None else [],
                          fingerprints, self.config, cache=cache,

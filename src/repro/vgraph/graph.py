@@ -495,21 +495,21 @@ class ValueGraph:
     # -- debugging -----------------------------------------------------------------
     def format_node(self, node_id: int, max_depth: int = 6) -> str:
         """A bounded-depth textual rendering of a sub-graph (for messages/tests)."""
-        seen: Set[int] = set()
+        return self._render(node_id, max_depth, set())
 
-        def render(current: int, depth: int) -> str:
-            current = self.resolve(current)
-            node = self._nodes[current]
-            if depth <= 0 or current in seen:
-                return f"#{current}"
-            seen.add(current)
-            label = node.kind if node.data is None else f"{node.kind}[{node.data}]"
-            if not node.args:
-                return label
-            rendered_args = ", ".join(render(a, depth - 1) for a in node.args)
-            return f"{label}({rendered_args})"
-
-        return render(node_id, max_depth)
+    def _render(self, current: int, depth: int, seen: Set[int]) -> str:
+        # A method, not a nested closure, so a call leaves no reference
+        # cycle behind for the cyclic GC.
+        current = self.resolve(current)
+        node = self._nodes[current]
+        if depth <= 0 or current in seen:
+            return f"#{current}"
+        seen.add(current)
+        label = node.kind if node.data is None else f"{node.kind}[{node.data}]"
+        if not node.args:
+            return label
+        rendered_args = ", ".join(self._render(a, depth - 1, seen) for a in node.args)
+        return f"{label}({rendered_args})"
 
 
 __all__ = ["ValueGraph", "MergeListener"]

@@ -196,28 +196,31 @@ def rule_bool_connectives(graph: ValueGraph, node: VNode) -> Optional[int]:
     """``and``/``or`` with literal or duplicate operands."""
     if node.kind != "binop" or node.data not in ("and", "or"):
         return None
+    lhs, rhs = graph.resolve(node.args[0]), graph.resolve(node.args[1])
+    lhs_node, rhs_node = graph.node(lhs), graph.node(rhs)
+    # Decide which case would fire before the (much dearer) boolean walk
+    # over both operands' sub-DAGs, and make a literal only after it.
+    if node.data == "and":
+        is_identity, is_absorbing = VNode.is_true, VNode.is_false
+    else:
+        is_identity, is_absorbing = VNode.is_false, VNode.is_true
+    absorbs = False
+    if is_identity(lhs_node):
+        replacement = rhs
+    elif is_identity(rhs_node):
+        replacement = lhs
+    elif is_absorbing(lhs_node) or is_absorbing(rhs_node):
+        absorbs = True
+    elif lhs == rhs:
+        replacement = lhs
+    else:
+        return None
     memo: Dict[int, bool] = {}
     if not all(_is_boolean_node(graph, a, memo) for a in node.args):
         return None
-    lhs, rhs = graph.resolve(node.args[0]), graph.resolve(node.args[1])
-    lhs_node, rhs_node = graph.node(lhs), graph.node(rhs)
-    if node.data == "and":
-        if lhs_node.is_true():
-            return rhs
-        if rhs_node.is_true():
-            return lhs
-        if lhs_node.is_false() or rhs_node.is_false():
-            return graph.false()
-    else:
-        if lhs_node.is_false():
-            return rhs
-        if rhs_node.is_false():
-            return lhs
-        if lhs_node.is_true() or rhs_node.is_true():
-            return graph.true()
-    if lhs == rhs:
-        return lhs
-    return None
+    if absorbs:
+        return graph.false() if node.data == "and" else graph.true()
+    return replacement
 
 
 # ---------------------------------------------------------------------------
