@@ -32,7 +32,7 @@ from .instructions import (
     SWAPPED_PREDICATE,
 )
 from .interpreter import ExecutionResult, Interpreter, run_function
-from .module import BasicBlock, Function, Module
+from .module import BasicBlock, Function, Module, UseIndex
 from .parser import parse_function, parse_module
 from .printer import print_function, print_instruction, print_module
 from .types import (
@@ -82,7 +82,7 @@ __all__ = [
     "Unreachable", "BINARY_OPS", "CAST_OPS", "COMMUTATIVE_OPS",
     "ICMP_PREDICATES", "NEGATED_PREDICATE", "SWAPPED_PREDICATE",
     # containers
-    "BasicBlock", "Function", "Module",
+    "BasicBlock", "Function", "Module", "UseIndex",
     # tools
     "IRBuilder", "create_function", "declare_function",
     "clone_function", "clone_global", "clone_module",

@@ -8,70 +8,51 @@ pristine input.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from functools import lru_cache
+from typing import Dict, Optional, Tuple
 
-from .instructions import (
-    Alloca,
-    BinaryOperator,
-    Branch,
-    Call,
-    Cast,
-    GetElementPtr,
-    ICmp,
-    Instruction,
-    Load,
-    Phi,
-    Ret,
-    Select,
-    Store,
-    Unreachable,
-)
+from .instructions import Instruction
 from .module import BasicBlock, Function, Module
 from .values import GlobalVariable, Value
 
+#: ``Instruction`` slots every copy sets itself; the rest are copied.
+_OWN_SLOTS = frozenset(("type", "name", "opcode", "operands", "parent"))
+
+
+@lru_cache(maxsize=None)
+def _extra_slots(cls: type) -> Tuple[str, ...]:
+    """The slots of ``cls`` beyond :data:`_OWN_SLOTS` (``predicate``, ...)."""
+    return tuple(slot for klass in cls.__mro__ for slot in klass.__dict__.get("__slots__", ())
+                 if slot not in _OWN_SLOTS)
+
+
+def _copy_shell(inst: Instruction, parent: Optional[BasicBlock]) -> Instruction:
+    """A copy of ``inst`` in ``parent`` whose ``operands`` the caller sets.
+
+    Every instruction class declares ``__slots__``, so an instruction is
+    exactly its slots and copying them copies the instruction.  Slot values
+    are shared: opcodes and names are strings, and types are immutable.
+    No constructor runs, so nothing is re-validated or re-allocated.
+    """
+    cls = type(inst)
+    new = object.__new__(cls)
+    new.type = inst.type
+    new.name = inst.name
+    new.opcode = inst.opcode
+    new.parent = parent
+    for slot in _extra_slots(cls):
+        setattr(new, slot, getattr(inst, slot))
+    return new
+
 
 def clone_instruction(inst: Instruction, value_map: Dict[Value, Value]) -> Instruction:
-    """Clone one instruction, mapping operands through ``value_map``.
+    """Clone one detached instruction, mapping operands through ``value_map``.
 
     Operands not present in the map (constants, globals, declarations,
     values defined outside the cloned region) are shared with the original.
     """
-
-    def m(value: Value) -> Value:
-        return value_map.get(value, value)
-
-    if isinstance(inst, BinaryOperator):
-        new = BinaryOperator(inst.opcode, m(inst.lhs), m(inst.rhs), inst.name)
-    elif isinstance(inst, ICmp):
-        new = ICmp(inst.predicate, m(inst.lhs), m(inst.rhs), inst.name)
-    elif isinstance(inst, Select):
-        new = Select(m(inst.condition), m(inst.if_true), m(inst.if_false), inst.name)
-    elif isinstance(inst, Cast):
-        new = Cast(inst.opcode, m(inst.value), inst.type, inst.name)
-    elif isinstance(inst, Alloca):
-        count = m(inst.count) if inst.count is not None else None
-        new = Alloca(inst.allocated_type, count, inst.name)
-    elif isinstance(inst, Load):
-        new = Load(m(inst.pointer), inst.name)
-    elif isinstance(inst, Store):
-        new = Store(m(inst.value), m(inst.pointer))
-    elif isinstance(inst, GetElementPtr):
-        new = GetElementPtr(inst.source_type, m(inst.pointer), [m(i) for i in inst.indices], inst.name)
-    elif isinstance(inst, Phi):
-        new = Phi(inst.type, [(m(v), m(b)) for v, b in inst.incoming], inst.name)
-    elif isinstance(inst, Call):
-        new = Call(m(inst.callee), [m(a) for a in inst.args], inst.type, inst.name)
-    elif isinstance(inst, Branch):
-        if inst.is_conditional:
-            new = Branch(m(inst.condition), m(inst.targets[0]), m(inst.targets[1]))
-        else:
-            new = Branch(m(inst.targets[0]))
-    elif isinstance(inst, Ret):
-        new = Ret(m(inst.value) if inst.value is not None else None)
-    elif isinstance(inst, Unreachable):
-        new = Unreachable()
-    else:  # pragma: no cover - defensive
-        raise TypeError(f"cannot clone instruction of type {type(inst).__name__}")
+    new = _copy_shell(inst, None)
+    new.operands = [value_map.get(op, op) for op in inst.operands]
     return new
 
 
@@ -97,10 +78,17 @@ def clone_function(function: Function, new_name: Optional[str] = None,
     """Return a deep copy of ``function``.
 
     Constants and module-level values (globals, declared functions) are
-    shared; arguments, blocks and instructions are fresh objects.  A
-    ``value_map`` seed remaps additional operands during cloning — the
-    driver passes ``{old global: cloned global}`` so a cloned function
-    references its own module's globals instead of the input module's.
+    shared; arguments, blocks and instructions are fresh objects, and every
+    instruction gets a fresh operand list.  A ``value_map`` seed remaps
+    additional operands during cloning — the driver passes
+    ``{old global: cloned global}`` so a cloned function references its own
+    module's globals instead of the input module's.
+
+    Each instruction is copied slot by slot (:func:`_copy_shell`); once
+    every copy exists, one pass maps all operands, so forward references
+    (φ incoming values from back edges) need no fix-up.  The map is keyed
+    by ``id``: every key is held by ``function`` or the seed for the whole
+    call, and constant operands skip their structural ``__hash__``.
     """
     clone = Function(
         new_name or function.name,
@@ -108,37 +96,25 @@ def clone_function(function: Function, new_name: Optional[str] = None,
         [a.name for a in function.args],
         function.attributes,
     )
-    value_map = dict(value_map) if value_map else {}
+    mapped: Dict[int, Value] = {id(old): new for old, new in value_map.items()} if value_map else {}
     for old_arg, new_arg in zip(function.args, clone.args):
-        value_map[old_arg] = new_arg
+        mapped[id(old_arg)] = new_arg
 
-    # First create all blocks so branch targets can be mapped.
+    copies = []
     for block in function.blocks:
         new_block = BasicBlock(block.name, parent=clone)
         clone.blocks.append(new_block)
-        value_map[block] = new_block
-
-    # Clone instructions.  φ-nodes may reference values defined later, so
-    # clone in two passes: create instructions, then fix forward references.
-    pending_phis = []
-    for block in function.blocks:
-        new_block = value_map[block]
+        mapped[id(block)] = new_block
+        new_instructions = new_block.instructions
         for inst in block.instructions:
-            new_inst = clone_instruction(inst, value_map)
-            value_map[inst] = new_inst
-            new_block.append(new_inst)
-            if isinstance(inst, Phi):
-                pending_phis.append((inst, new_inst))
+            new = _copy_shell(inst, new_block)
+            mapped[id(inst)] = new
+            new_instructions.append(new)
+            copies.append((inst.operands, new))
 
-    # Fix operands that were forward references at clone time (mostly φ
-    # incoming values from back edges, but any operand ordering quirk too).
-    for block in function.blocks:
-        new_block = value_map[block]
-        for old_inst, new_inst in zip(block.instructions, new_block.instructions):
-            for i, operand in enumerate(old_inst.operands):
-                mapped = value_map.get(operand, operand)
-                if new_inst.operands[i] is not mapped:
-                    new_inst.operands[i] = mapped
+    get = mapped.get
+    for operands, new in copies:
+        new.operands = [get(id(op), op) for op in operands]
     return clone
 
 

@@ -3,8 +3,12 @@
 Each instruction is itself a :class:`~repro.ir.values.Value` (its result),
 holds an ordered list of operand values, and knows which basic block it
 lives in.  Operand edges reference :class:`Value` objects directly; there
-is no separate use-list — passes that need def-use information obtain it
-from :func:`repro.analysis.usedef.users_of` or scan the function.
+is no use-list kept on the IR.  A pass that replaces uses builds a
+:class:`~repro.ir.module.UseIndex` for its run; one-off def-use queries
+use :func:`repro.analysis.usedef.users_of`.
+
+Every instruction class declares ``__slots__``, so an instruction is
+exactly its slots and :mod:`repro.ir.cloning` copies one slot by slot.
 
 Supported opcodes closely follow LLVM's integer subset:
 
@@ -167,6 +171,8 @@ class Instruction(Value):
 class BinaryOperator(Instruction):
     """A two-operand arithmetic/logical instruction."""
 
+    __slots__ = ()
+
     def __init__(self, opcode: str, lhs: Value, rhs: Value, name: str = ""):
         if opcode not in BINARY_OPS:
             raise ValueError(f"unknown binary opcode: {opcode}")
@@ -207,6 +213,8 @@ class ICmp(Instruction):
 class Select(Instruction):
     """``select i1 %c, T %a, T %b`` — a value-level conditional."""
 
+    __slots__ = ()
+
     def __init__(self, cond: Value, if_true: Value, if_false: Value, name: str = ""):
         super().__init__("select", if_true.type, [cond, if_true, if_false], name)
 
@@ -225,6 +233,8 @@ class Select(Instruction):
 
 class Cast(Instruction):
     """A value cast: ``zext``, ``sext``, ``trunc``, ``bitcast``, ...."""
+
+    __slots__ = ()
 
     def __init__(self, opcode: str, value: Value, to_type: Type, name: str = ""):
         if opcode not in CAST_OPS:
@@ -254,6 +264,8 @@ class Alloca(Instruction):
 class Load(Instruction):
     """Load a value of the pointee type from a pointer."""
 
+    __slots__ = ()
+
     def __init__(self, pointer: Value, name: str = ""):
         if not isinstance(pointer.type, PointerType):
             raise TypeError("load requires a pointer operand")
@@ -266,6 +278,8 @@ class Load(Instruction):
 
 class Store(Instruction):
     """Store a value through a pointer.  Produces no result."""
+
+    __slots__ = ()
 
     def __init__(self, value: Value, pointer: Value):
         if not isinstance(pointer.type, PointerType):
@@ -315,6 +329,8 @@ class Phi(Instruction):
     type), interleaved as ``[v0, b0, v1, b1, ...]``.
     """
 
+    __slots__ = ()
+
     def __init__(self, type_: Type, incoming: Sequence[Tuple[Value, "Value"]] = (), name: str = ""):
         operands: List[Value] = []
         for value, block in incoming:
@@ -359,6 +375,8 @@ class Phi(Instruction):
 class Call(Instruction):
     """A direct call to a function or external declaration."""
 
+    __slots__ = ()
+
     def __init__(self, callee: Value, args: Sequence[Value], return_type: Type, name: str = ""):
         super().__init__("call", return_type, [callee, *args], name)
 
@@ -385,6 +403,8 @@ class Call(Instruction):
 
 class Branch(Instruction):
     """Conditional or unconditional branch terminator."""
+
+    __slots__ = ()
 
     def __init__(self, *args):
         if len(args) == 1:
@@ -423,6 +443,8 @@ class Branch(Instruction):
 class Ret(Instruction):
     """Return terminator, with or without a value."""
 
+    __slots__ = ()
+
     def __init__(self, value: Optional[Value] = None):
         operands = [value] if value is not None else []
         super().__init__("ret", VoidType(), operands)
@@ -434,6 +456,8 @@ class Ret(Instruction):
 
 class Unreachable(Instruction):
     """Marks statically unreachable control flow."""
+
+    __slots__ = ()
 
     def __init__(self):
         super().__init__("unreachable", VoidType(), [])

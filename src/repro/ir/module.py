@@ -75,10 +75,16 @@ class BasicBlock(Value):
 
     # -- CFG --------------------------------------------------------------
     def successors(self) -> List["BasicBlock"]:
-        """Successor blocks according to the terminator."""
-        term = self.terminator
-        if isinstance(term, Branch):
-            return list(term.targets)
+        """Successor blocks according to the terminator.
+
+        Reads the branch's operands directly: ``[target]`` or
+        ``[condition, if_true, if_false]``.
+        """
+        if self.instructions:
+            last = self.instructions[-1]
+            if isinstance(last, Branch):
+                operands = last.operands
+                return [operands[1], operands[2]] if len(operands) == 3 else [operands[0]]
         return []
 
     def predecessors(self) -> List["BasicBlock"]:
@@ -202,26 +208,14 @@ class Function(Value):
         self.blocks.remove(block)
         block.parent = None
 
-    def replace_all_uses(self, old: Value, new: Value) -> int:
-        """Replace every operand reference to ``old`` with ``new``.
-
-        Returns the number of operand slots rewritten.  This scans the
-        whole function; at the scale of the benchmark corpora that is
-        cheap and avoids maintaining use lists.
-        """
-        count = 0
-        for inst in self.instructions():
-            count += inst.replace_operand(old, new)
-        return count
-
     # -- copying ----------------------------------------------------------
     def clone(self, new_name: Optional[str] = None) -> "Function":
         """Deep-copy the function.
 
         The optimizer mutates functions in place; the validation driver
         clones the original first so the "before" version survives.  The
-        clone shares constants and globals (immutable) but has fresh
-        arguments, blocks and instructions.
+        clone shares constants, globals and types (immutable) but has fresh
+        arguments, blocks, instructions and operand lists.
         """
         from .cloning import clone_function
 
@@ -230,6 +224,75 @@ class Function(Value):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "declare" if self.is_declaration else "define"
         return f"<{kind} @{self.name} ({len(self.blocks)} blocks)>"
+
+
+class UseIndex:
+    """Which instructions use each value of one function, for one pass.
+
+    Built with one scan when a pass starts, the index makes
+    :meth:`replace_all_uses` cost O(uses of the replaced value) instead of
+    a scan of the whole function.  Its invariant: every instruction of the
+    function that has a value among its operands is listed under that
+    value.  A replacement keeps it by moving the rewritten users to the
+    new value, and a pass that adds an operand edge while the index is
+    live (``Phi.add_incoming``) records it with :meth:`add_use`.  Extra
+    entries are harmless: a listed user whose operands no longer hold the
+    value is left alone, and so is a user no longer in the function
+    (removed from its block, or in a removed block).
+
+    Entries are keyed by ``id`` and hold their value, so a key's id cannot
+    be reused while the entry lives.
+    """
+
+    __slots__ = ("function", "_users")
+
+    def __init__(self, function: "Function"):
+        self.function = function
+        self._users: Dict[int, List] = {}
+        for block in function.blocks:
+            for inst in block.instructions:
+                for operand in inst.operands:
+                    self.add_use(inst, operand)
+
+    def add_use(self, user: Instruction, value: Value) -> None:
+        """Record that ``user`` has ``value`` among its operands."""
+        entry = self._users.get(id(value))
+        if entry is None:
+            self._users[id(value)] = [value, user]
+        else:
+            entry.append(user)
+
+    def users(self, value: Value) -> List[Instruction]:
+        """The instructions of the function listed as users of ``value``.
+
+        In the order they were recorded; an instruction that has ``value``
+        among its operands more than once may appear more than once.
+        """
+        entry = self._users.get(id(value), ())
+        function = self.function
+        return [user for user in entry[1:]
+                if user.parent is not None and user.parent.parent is function]
+
+    def replace_all_uses(self, old: Value, new: Value) -> int:
+        """Replace every operand reference to ``old`` in the function with ``new``.
+
+        Returns the number of operand slots rewritten.
+        """
+        entry = self._users.pop(id(old), None)
+        if entry is None:
+            return 0
+        function = self.function
+        count = 0
+        for index in range(1, len(entry)):
+            user = entry[index]
+            block = user.parent
+            if block is None or block.parent is not function:
+                continue
+            replaced = user.replace_operand(old, new)
+            if replaced:
+                count += replaced
+                self.add_use(user, new)
+        return count
 
 
 class Module:
@@ -275,4 +338,4 @@ class Module:
         return f"<Module {self.name!r} ({len(self.functions)} functions)>"
 
 
-__all__ = ["BasicBlock", "Function", "Module"]
+__all__ = ["BasicBlock", "Function", "Module", "UseIndex"]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from ..analysis.alias import AliasAnalysis
 from ..ir.instructions import BinaryOperator, Branch, ICmp, Load, Store
-from ..ir.module import Function
+from ..ir.module import Function, UseIndex
 from ..ir.values import ConstantInt
 from .pass_manager import register_pass
 
@@ -84,7 +84,7 @@ def bad_load_forwarding(function: Function) -> bool:
                     block.instructions.index(load) > block.instructions.index(first_store)
                     and load.type == first_store.value.type
                 ):
-                    function.replace_all_uses(load, first_store.value)
+                    UseIndex(function).replace_all_uses(load, first_store.value)
                     block.remove(load)
                     return True
     return False

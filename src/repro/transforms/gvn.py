@@ -38,7 +38,7 @@ from ..ir.instructions import (
     Store,
     SWAPPED_PREDICATE,
 )
-from ..ir.module import BasicBlock, Function
+from ..ir.module import BasicBlock, Function, UseIndex
 from ..ir.values import ConstantInt, Value
 from .pass_manager import register_pass
 
@@ -95,7 +95,7 @@ def _expression_key(inst: Instruction, numbering: _ValueNumbering) -> Optional[T
     return None
 
 
-def _forward_memory(block: BasicBlock, function: Function, alias: AliasAnalysis) -> bool:
+def _forward_memory(block: BasicBlock, uses: UseIndex, alias: AliasAnalysis) -> bool:
     """Block-local store-to-load forwarding and redundant-load elimination."""
     changed = False
     available_stores: List[Store] = []
@@ -121,7 +121,7 @@ def _forward_memory(block: BasicBlock, function: Function, alias: AliasAnalysis)
                         replacement = load
                         break
             if replacement is not None:
-                function.replace_all_uses(inst, replacement)
+                uses.replace_all_uses(inst, replacement)
                 block.remove(inst)
                 changed = True
             else:
@@ -140,11 +140,12 @@ def gvn(function: Function) -> bool:
         return False
     changed = False
     alias = AliasAnalysis()
+    uses = UseIndex(function)
 
     # Memory simplification first: it can expose more pure-expression
     # equivalences (a forwarded load becomes the stored expression).
     for block in function.blocks:
-        if _forward_memory(block, function, alias):
+        if _forward_memory(block, uses, alias):
             changed = True
 
     dom = DominatorTree.compute(function)
@@ -164,7 +165,7 @@ def gvn(function: Function) -> bool:
                 continue
             leader = leaders.get(key)
             if leader is not None and leader.parent is not None:
-                function.replace_all_uses(inst, leader)
+                uses.replace_all_uses(inst, leader)
                 numbering.alias_to(inst, leader)
                 block.remove(inst)
                 changed = True

@@ -29,7 +29,7 @@ from ..ir.instructions import (
     Select,
     SWAPPED_PREDICATE,
 )
-from ..ir.module import Function
+from ..ir.module import Function, UseIndex
 from ..ir.types import IntType
 from ..ir.values import ConstantInt, Value
 from ..analysis.usedef import UseDefInfo
@@ -208,6 +208,7 @@ def remove_trivially_dead(function: Function) -> int:
 def instcombine(function: Function) -> bool:
     """Run instruction combining on ``function``.  Returns ``True`` if changed."""
     changed_any = False
+    uses = UseIndex(function)
     for _ in range(_MAX_ITERATIONS):
         changed = False
         for block in function.blocks:
@@ -216,7 +217,7 @@ def instcombine(function: Function) -> bool:
                     continue
                 replacement = simplify_instruction(inst)
                 if replacement is not None and replacement is not inst:
-                    function.replace_all_uses(inst, replacement)
+                    uses.replace_all_uses(inst, replacement)
                     block.remove(inst)
                     changed = True
                     continue
@@ -240,6 +241,7 @@ def constant_propagation(function: Function) -> bool:
     as a separate pass lets tests and ablations demonstrate exactly that.
     """
     changed_any = False
+    uses = UseIndex(function)
     for _ in range(_MAX_ITERATIONS):
         changed = False
         for block in function.blocks:
@@ -249,7 +251,7 @@ def constant_propagation(function: Function) -> bool:
                     if all(isinstance(op, ConstantInt) for op in inst.operands):
                         replacement = simplify_instruction(inst)
                     if isinstance(replacement, ConstantInt):
-                        function.replace_all_uses(inst, replacement)
+                        uses.replace_all_uses(inst, replacement)
                         block.remove(inst)
                         changed = True
         changed_any = changed_any or changed

@@ -19,36 +19,34 @@ from typing import Dict, List, Optional, Set
 from ..analysis.cfg import predecessor_map
 from ..analysis.dominators import DominatorTree
 from ..ir.instructions import Alloca, Load, Phi, Store
-from ..ir.module import BasicBlock, Function
+from ..ir.module import BasicBlock, Function, UseIndex
 from ..ir.values import UndefValue, Value
 from .pass_manager import register_pass
 
 
-def _is_promotable(function: Function, alloca: Alloca) -> bool:
+def _is_promotable(uses: UseIndex, alloca: Alloca) -> bool:
     """An alloca is promotable if it is only ever loaded from / stored to."""
     if alloca.count is not None:
         return False
     if not alloca.allocated_type.is_first_class():
         return False
-    for inst in function.instructions():
-        for operand in inst.operands:
-            if operand is not alloca:
-                continue
-            if isinstance(inst, Load) and inst.pointer is alloca:
-                continue
-            if isinstance(inst, Store) and inst.pointer is alloca and inst.value is not alloca:
-                continue
-            return False
+    for inst in uses.users(alloca):
+        if isinstance(inst, Load) and inst.pointer is alloca:
+            continue
+        if isinstance(inst, Store) and inst.pointer is alloca and inst.value is not alloca:
+            continue
+        return False
     return True
 
 
 @register_pass("mem2reg")
 def mem2reg(function: Function) -> bool:
     """Promote promotable allocas in ``function``.  Returns ``True`` if changed."""
+    uses = UseIndex(function)
     allocas = [
         inst
         for inst in function.instructions()
-        if isinstance(inst, Alloca) and _is_promotable(function, inst)
+        if isinstance(inst, Alloca) and _is_promotable(uses, inst)
     ]
     if not allocas:
         return False
@@ -63,7 +61,7 @@ def mem2reg(function: Function) -> bool:
         # Blocks containing a store to this alloca.
         defining_blocks = {
             id(inst.parent): inst.parent
-            for inst in function.instructions()
+            for inst in uses.users(alloca)
             if isinstance(inst, Store) and inst.pointer is alloca
         }
         # Iterated dominance frontier.
@@ -112,7 +110,7 @@ def mem2reg(function: Function) -> bool:
                         state[id(alloca)] = inst
                 continue
             if isinstance(inst, Load) and id(inst.pointer) in alloca_ids:
-                function.replace_all_uses(inst, state[id(inst.pointer)])
+                uses.replace_all_uses(inst, state[id(inst.pointer)])
                 block.remove(inst)
             elif isinstance(inst, Store) and id(inst.pointer) in alloca_ids:
                 state[id(inst.pointer)] = inst.value
@@ -124,6 +122,7 @@ def mem2reg(function: Function) -> bool:
                 phi = phis_for_alloca[id(alloca)].get(id(successor))
                 if phi is not None:
                     phi.add_incoming(state[id(alloca)], block)
+                    uses.add_use(phi, state[id(alloca)])
 
         for child in dom.children(block):
             stack.append((child, state))
@@ -136,10 +135,9 @@ def mem2reg(function: Function) -> bool:
     # φ-nodes placed in blocks with predecessors we never visited (unreachable
     # preds) may be missing entries; fill them with undef for well-formedness.
     for alloca in allocas:
-        for block_id, phi in phis_for_alloca[id(alloca)].items():
-            block = next(b for b in function.blocks if id(b) == block_id)
+        for phi in phis_for_alloca[id(alloca)].values():
             have = {id(p) for _, p in phi.incoming}
-            for pred in preds[block]:
+            for pred in preds[phi.parent]:
                 if id(pred) not in have:
                     phi.add_incoming(initial_value(alloca), pred)
 

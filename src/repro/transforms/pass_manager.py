@@ -63,7 +63,10 @@ class PassSnapshot:
     """The function's state after one pipeline step.
 
     ``function`` is an immutable checkpoint: a fresh clone when the pass
-    changed something, otherwise *the same object* as the previous step's
+    changed something (:func:`~repro.ir.cloning.clone_function`, a
+    slot-by-slot copy of every instruction with a fresh operand list that
+    shares the working copy's types, names and constants), otherwise
+    *the same object* as the previous step's
     checkpoint (so adjacent unchanged steps compare by identity and a
     shared :class:`~repro.analysis.manager.AnalysisManager` never analyses
     the identical version twice).

@@ -34,7 +34,7 @@ from ..ir.instructions import (
     Select,
     Store,
 )
-from ..ir.module import BasicBlock, Function
+from ..ir.module import BasicBlock, Function, UseIndex
 from ..ir.types import IntType
 from ..ir.values import Argument, Constant, ConstantInt, UndefValue, Value
 from .constfold import fold_binary_constants, fold_cast, fold_icmp_constants
@@ -257,13 +257,14 @@ def sccp(function: Function) -> bool:
 
     changed = False
     # Replace constant instructions.
+    uses = UseIndex(function)
     for block in function.blocks:
         for inst in list(block.instructions):
             if not inst.has_result() or inst.has_side_effects():
                 continue
             cell = solver.cells.get(id(inst))
             if cell is not None and cell.state == _CONSTANT and cell.constant is not None:
-                function.replace_all_uses(inst, cell.constant)
+                uses.replace_all_uses(inst, cell.constant)
                 block.remove(inst)
                 changed = True
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from ..analysis.cfg import predecessor_map, remove_unreachable_blocks
 from ..ir.instructions import Branch, Phi
-from ..ir.module import Function
+from ..ir.module import Function, UseIndex
 from ..ir.values import ConstantInt
 from .pass_manager import register_pass
 
@@ -47,6 +47,7 @@ def _fold_constant_branches(function: Function) -> bool:
 
 def _merge_straight_line(function: Function) -> bool:
     changed = False
+    uses = UseIndex(function)
     while True:
         preds = predecessor_map(function)
         merged = False
@@ -63,7 +64,7 @@ def _merge_straight_line(function: Function) -> bool:
             for phi in list(block.phis()):
                 value = phi.incoming[0][0] if phi.incoming else None
                 if value is not None:
-                    function.replace_all_uses(phi, value)
+                    uses.replace_all_uses(phi, value)
                 block.remove(phi)
             # Splice the block's instructions after the predecessor's body.
             pred.remove(pred.terminator)
@@ -87,15 +88,16 @@ def _merge_straight_line(function: Function) -> bool:
 
 def _simplify_single_entry_phis(function: Function) -> bool:
     changed = False
+    uses = UseIndex(function)
     for block in function.blocks:
         for phi in list(block.phis()):
             incoming = phi.incoming
             if len(incoming) == 1:
-                function.replace_all_uses(phi, incoming[0][0])
+                uses.replace_all_uses(phi, incoming[0][0])
                 block.remove(phi)
                 changed = True
             elif incoming and all(v is incoming[0][0] for v, _ in incoming):
-                function.replace_all_uses(phi, incoming[0][0])
+                uses.replace_all_uses(phi, incoming[0][0])
                 block.remove(phi)
                 changed = True
     return changed

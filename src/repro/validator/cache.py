@@ -141,11 +141,23 @@ def _decode_key(text: str) -> CacheKey:
             matcher, engine, int(max_iter), int(rec_limit))
 
 
-def _encode_result(result: ValidationResult) -> str:
-    """Serialize the round-tripped fields of one result to JSON."""
+def _result_payload(result: ValidationResult) -> Dict[str, object]:
+    """The round-tripped fields of one result as a JSON-ready dict.
+
+    ``elapsed`` is written as fixed-width text (``"1.234560e-02"``): the
+    shortest ``repr`` of a timing float varies in length from run to run,
+    which made the bytes a store writes jitter.  :func:`_decode_result`
+    reads both this text and the plain floats of older entries.
+    """
     payload = {name: value for name, value in asdict(result).items()
                if name in _RESULT_FIELDS}
-    return json.dumps(payload, sort_keys=True)
+    payload["elapsed"] = f"{result.elapsed:.6e}"
+    return payload
+
+
+def _encode_result(result: ValidationResult) -> str:
+    """Serialize the round-tripped fields of one result to JSON."""
+    return json.dumps(_result_payload(result), sort_keys=True)
 
 
 def _decode_result(payload: Dict[str, object]) -> ValidationResult:
@@ -276,9 +288,7 @@ class JsonStore:
                 evicted = _evict_to_budget(merged, hit_stamp, max_bytes)
             payload = {
                 "schema": CACHE_SCHEMA,
-                "entries": {_encode_key(key): {name: value
-                                               for name, value in asdict(result).items()
-                                               if name in _RESULT_FIELDS}
+                "entries": {_encode_key(key): _result_payload(result)
                             for key, result in merged.items()},
             }
             text = json.dumps(payload, sort_keys=True) + "\n"

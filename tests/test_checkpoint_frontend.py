@@ -1,19 +1,24 @@
 """The per-checkpoint front end: one hash per checkpoint, a stable printer,
-interval dominance and path conditions that leave no cycles.
+a slot-copy clone, use-indexed replacement, interval dominance and path
+conditions that leave no cycles.
 
 Every changed pass yields a checkpoint that is cloned, fingerprinted and
 analysed before any value-graph work.  These tests pin the cheap forms of
 those steps to the behaviour of the forms they replaced: the fingerprint
 count per checkpoint (and a kept checkpoint's release to its caller), the
-printer's exact output, the dominance relation of an idom walk, the
-boolean rule's answers, and the absence of cyclic garbage from
-path-condition queries.
+printer's exact output on inputs and on every checkpoint, the clone's
+copy of every instruction, each use-indexed replacement against a
+whole-function scan, the dominance relation of an idom walk, the boolean
+rule's answers, and the absence of cyclic garbage from path-condition
+queries.
 """
 
 import gc
 import hashlib
 import importlib
-from typing import Dict, Optional
+import os
+import sys
+from typing import Dict, List, Optional
 
 import pytest
 
@@ -22,9 +27,11 @@ from repro.analysis.manager import CHECKPOINT_FINGERPRINTS, AnalysisManager
 from repro.analysis.cfg import predecessor_map, reverse_postorder
 from repro.bench import BENCHMARKS_BY_NAME, build_corpus
 from repro.gated.gates import GateAnalysis
-from repro.ir import clone_function, parse_function, parse_module
-from repro.ir.printer import print_module
-from repro.transforms import PAPER_PIPELINE, optimize
+from repro.analysis.manager import function_fingerprint
+from repro.ir import UseIndex, clone_function, parse_function, parse_module
+from repro.ir.instructions import Instruction
+from repro.ir.printer import print_function, print_module
+from repro.transforms import PAPER_PIPELINE, PassManager, optimize
 from repro.validator import (ValidationCache, ValidatorConfig, llvm_md, validate,
                              validate_function_pipeline, validate_module_batch)
 from repro.vgraph import ValueGraph, rules
@@ -46,6 +53,25 @@ PRINT_DIGESTS = {
     "sjeng": "a95d3668f1d3a31cff3b21d5e3f152092423662e67b91c80f57e47231d357876",
     "sphinx": "56d9afc6de7e1c385949504cb98ea5b304c5f826461cf3de6cea357b0cd32db0",
     "sqlite": "6a674d344deee28b1215355af3b13f1fb4fe62189cc8a4651cea1a2539ff2d7e",
+}
+
+#: ``sha256`` over ``function_fingerprint`` of every
+#: ``PassManager(PAPER_PIPELINE).run_with_snapshots`` checkpoint of
+#: ``build_corpus(spec, 0.1)`` (see :func:`checkpoint_digest`).  Pins the
+#: clone, the passes' replacements and the printer on optimized IR.
+CHECKPOINT_DIGESTS = {
+    "bzip2": "1e0aff74d4eee0b150eaec3213255387c1b184dc8f9c7d9d96f8ff571dd0c667",
+    "gcc": "f3f3a5502371a71b99b988a7ecee2d0fdf65b9b587bb1bb8558a435ae84693a3",
+    "h264ref": "b284fa960b67215a5f961c34ce47037555d538bfb9d3d1688727196b50bd25a8",
+    "hmmer": "3e8db38fb0cf5d94af830102c8c5283488c0b596673b3a0136eeb193e60adf46",
+    "lbm": "cd243c272840b961dde1ffa4405e0648848647ec1b6907c866573b603ca2931f",
+    "libquantum": "a68d7c10cfe989cd7bd362f1e983000f17487d841e488efeb0cd0e334ea72652",
+    "mcf": "d6cb9cb08cfcdda4d8a4b9017285340a16b53a3a87e913115eeefdd3b1591310",
+    "milc": "3825d2c7096e68ee8e44c2e2d2940fe10605984517539bc3059273ce1f6f723d",
+    "perlbench": "3a232fb05a83468cfb25493abec478126a984395290b674e0ea7cc030c763913",
+    "sjeng": "a690c6321f0c05275ec8b5d649050a5a38bfa0f668c657c47e9f9971f45f0649",
+    "sphinx": "7171a95ea65a2fafc5f5087e742b5706d675013214d35f1b11a060804c5e015a",
+    "sqlite": "b16ec1bbaebdad1e5e3153079614c9726ae29bb489fde43f6bb8c6f9c198a9e5",
 }
 
 #: The modules whose ``function_fingerprint`` binding the validator calls.
@@ -165,6 +191,132 @@ def test_print_module_is_byte_identical(corpora):
         text = print_module(module)
         assert hashlib.sha256(text.encode()).hexdigest() == PRINT_DIGESTS[name], name
         assert print_module(parse_module(text, module.name)) == text, name
+
+
+def checkpoint_digest(module) -> str:
+    manager = PassManager(PAPER_PIPELINE)
+    digest = hashlib.sha256()
+    for function in module.defined_functions():
+        for snap in manager.run_with_snapshots(function):
+            digest.update(f"{function.name} {snap.pass_name} {snap.changed} "
+                          f"{function_fingerprint(snap.function)}\n".encode())
+    return digest.hexdigest()
+
+
+def test_checkpoints_are_byte_identical(corpora):
+    for name, module in corpora.items():
+        assert checkpoint_digest(module) == CHECKPOINT_DIGESTS[name], name
+
+
+# -- the clone --------------------------------------------------------------------
+
+def instruction_classes() -> List[type]:
+    classes, stack = [], [Instruction]
+    while stack:
+        cls = stack.pop()
+        classes.append(cls)
+        stack.extend(cls.__subclasses__())
+    return classes
+
+
+def all_slots(cls: type) -> List[str]:
+    return [slot for klass in cls.__mro__ for slot in klass.__dict__.get("__slots__", ())]
+
+
+def test_instructions_are_exactly_their_slots(corpora):
+    for cls in instruction_classes():
+        assert not hasattr(object.__new__(cls), "__dict__"), cls.__name__
+    for module in corpora.values():
+        for function in module.defined_functions():
+            for inst in function.instructions():
+                assert not hasattr(inst, "__dict__"), type(inst).__name__
+
+
+def test_clone_copies_every_instruction(corpora):
+    seen = set()
+    for module in corpora.values():
+        for function in module.defined_functions():
+            clone = clone_function(function)
+            mapping = dict(zip(map(id, function.args), clone.args))
+            assert len(clone.blocks) == len(function.blocks)
+            for block, new_block in zip(function.blocks, clone.blocks):
+                mapping[id(block)] = new_block
+                assert len(new_block.instructions) == len(block.instructions)
+                mapping.update(zip(map(id, block.instructions), new_block.instructions))
+            for block, new_block in zip(function.blocks, clone.blocks):
+                for inst, new in zip(block.instructions, new_block.instructions):
+                    assert type(new) is type(inst) and new is not inst
+                    seen.add(type(inst))
+                    for slot in all_slots(type(inst)):
+                        if slot not in ("operands", "parent"):
+                            assert getattr(new, slot) == getattr(inst, slot), slot
+                    assert new.operands is not inst.operands
+                    expected = [mapping.get(id(op), op) for op in inst.operands]
+                    assert len(new.operands) == len(expected)
+                    assert all(a is b for a, b in zip(new.operands, expected))
+                    assert new.parent is new_block
+            assert print_function(clone) == print_function(function)
+    assert len(seen) >= 10
+
+
+# -- use-indexed replace-all-uses -------------------------------------------------
+
+def scan_replace_all_uses(function, old, new) -> int:
+    """Reference: rewrite ``old`` in every instruction of the function."""
+    count = 0
+    for inst in function.instructions():
+        count += inst.replace_operand(old, new)
+    return count
+
+
+def test_use_index_matches_whole_function_scan(monkeypatch):
+    replace = UseIndex.replace_all_uses
+    calls: Dict[str, int] = {}
+
+    def checked(index, old, new):
+        function = index.function
+        users = list(function.instructions())
+        expected = [[new if op is old else op for op in inst.operands] for inst in users]
+        expected_count = sum(op is old for inst in users for op in inst.operands)
+        count = replace(index, old, new)
+        assert count == expected_count
+        for inst, operands in zip(users, expected):
+            assert len(inst.operands) == len(operands)
+            assert all(a is b for a, b in zip(inst.operands, operands))
+        caller = os.path.basename(sys._getframe(1).f_code.co_filename)
+        calls[caller] = calls.get(caller, 0) + 1
+        return count
+
+    monkeypatch.setattr(UseIndex, "replace_all_uses", checked)
+    for name in ("sqlite", "hmmer", "perlbench", "milc"):
+        module = build_corpus(BENCHMARKS_BY_NAME[name], 0.1)
+        for function in module.defined_functions():
+            optimize(clone_function(function), PAPER_PIPELINE)
+    assert calls.get("mem2reg.py", 0) > 100
+    assert calls.get("gvn.py", 0) > 10
+    assert calls.get("sccp.py", 0) > 10
+
+
+def test_use_index_skips_detached_users():
+    function = parse_function("""
+define i32 @f(i32 %a, i32 %b) {
+entry:
+  %x = add i32 %a, 1
+  %y = mul i32 %x, %x
+  %z = sub i32 %x, 2
+  ret i32 %z
+}
+""")
+    a, b = function.args
+    x, y, z, _ = function.entry.instructions
+    uses = UseIndex(function)
+    function.entry.remove(y)
+    assert uses.replace_all_uses(x, b) == 1
+    assert z.operands[0] is b
+    assert y.operands == [x, x]
+    # The rewritten user is now listed under the new value.
+    assert uses.replace_all_uses(b, a) == 1
+    assert z.operands[0] is a
 
 
 # -- dominance --------------------------------------------------------------------

@@ -490,3 +490,18 @@ class TestJsonSaveLocking:
         assert merged.loaded == 2
         payload = json.loads((tmp_path / CACHE_FILE_NAME).read_text())
         assert len(payload["entries"]) == 2
+
+
+def test_result_encoding_length_does_not_depend_on_elapsed():
+    from repro.validator import cache as cache_module
+
+    before = parse_function("define i32 @f(i32 %a) {\nentry:\n  %t = add i32 %a, 0\n  ret i32 %t\n}")
+    result = validate(before, clone_function(before), DEFAULT_CONFIG)
+    lengths = {len(cache_module._encode_result(replace(result, elapsed=elapsed)))
+               for elapsed in (0.0, 0.1, 0.123456789, 1 / 3, 2.5e-05, 7.0, 12.75, 345.6)}
+    assert len(lengths) == 1
+    # Fixed-width text round-trips; entries written with a plain float still read.
+    encoded = json.loads(cache_module._encode_result(replace(result, elapsed=0.0123456)))
+    assert cache_module._decode_result(encoded).elapsed == pytest.approx(0.0123456)
+    encoded["elapsed"] = 0.25
+    assert cache_module._decode_result(encoded) == replace(result, elapsed=0.25)
